@@ -3,11 +3,14 @@
 Section 4.1 argues the algebraic-independence clauses can be dropped
 because the probability that a random subset of Majorana strings satisfies
 ``n`` column events ``A_k`` (the product restricted to qubit ``k`` is the
-identity) simultaneously is ``≈ 1/4^n``; full dependence needs all ``N``
-columns, hence failure probability ``4^-N``.
+identity) simultaneously is ``≈ 1/4^n``, and full dependence needs all
+``N`` columns.  That extrapolation to a ``4^-N`` failure probability is too
+pessimistic: for ``2N`` pairwise-anticommuting strings the probability of
+full dependence is exactly 0 (see :func:`repro.core.descent.
+build_base_formula`), even though single column events stay common.
 
 :func:`estimate_simultaneous_probability` reproduces the figure's
-empirical estimate over sampled optimal encodings.
+empirical estimate of the column events over sampled optimal encodings.
 """
 
 from __future__ import annotations

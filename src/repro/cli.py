@@ -148,8 +148,10 @@ def _config_from_args(args) -> FermihedralConfig:
 def _add_solver_options(parser: argparse.ArgumentParser) -> None:
     """Constraint/budget flags shared by ``solve`` and ``batch``."""
     parser.add_argument("--no-alg", action="store_true",
-                        help="drop the algebraic-independence clauses and "
-                             "rank-check models instead (paper Section 4.1)")
+                        help="label the run 'SAT w/o Alg.' (paper Section "
+                             "4.1); the instance is unchanged, since "
+                             "pairwise anticommutation already implies "
+                             "algebraic independence")
     parser.add_argument("--no-vacuum", action="store_true",
                         help="drop the vacuum-preservation clauses")
     parser.add_argument("--exact-vacuum", action="store_true",

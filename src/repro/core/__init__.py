@@ -13,6 +13,7 @@ from repro.core.config import (
     SolverBudget,
 )
 from repro.core.descent import (
+    DependentModelError,
     DescentResult,
     DescentStep,
     build_base_formula,
@@ -34,6 +35,7 @@ __all__ = [
     "AnnealingSchedule",
     "COMPILE_METHODS",
     "CompilationResult",
+    "DependentModelError",
     "DescentResult",
     "DescentStep",
     "FermihedralCompiler",

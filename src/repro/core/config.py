@@ -62,10 +62,14 @@ class FermihedralConfig:
     """Switches selecting which constraints enter the SAT instance.
 
     Attributes:
-        algebraic_independence: emit the power-set clauses of Section 3.4
-            ("Full SAT").  When ``False`` ("SAT w/o Alg."), solutions are
-            rank-checked afterwards and repaired via blocking clauses —
-            the Section 4.1 strategy with its ``4^-N`` failure probability.
+        algebraic_independence: the paper's "Full SAT" (``True``) versus
+            "SAT w/o Alg." (``False``) switch.  It no longer changes the
+            instance: neither setting emits the power-set clauses of
+            Section 3.4, because pairwise anticommutation already implies
+            independence (the probability of a dependent model is exactly
+            0, not Section 4.1's ``4^-N``).  Kept, with its default, so
+            existing cache keys, batch files and job specs resolve
+            unchanged; it still selects the result's method label.
         vacuum_preservation: emit the X/Y-pair clauses of Section 3.5.
         exact_vacuum: replace the paper's sufficient-condition witness with
             the exact (necessary-and-sufficient) vacuum constraint — equal
@@ -77,7 +81,8 @@ class FermihedralConfig:
             from the Bravyi-Kitaev baseline, as the paper does.
         warm_start: seed each SAT call's phase hints with the previous model.
         budget: per-SAT-call resource limits.
-        max_repairs: cap on w/o-Alg blocking-clause rounds per weight level.
+        max_repairs: unused.  It capped the retired w/o-Alg repair loop;
+            kept, with its default, because it is part of every cache key.
         strategy: descent loop flavour — ``"linear"`` (the paper's
             Algorithm 1) or ``"bisection"`` (binary search between a
             structural lower bound and the best model; an ablation).

@@ -21,10 +21,14 @@ the cold-start loop that rebuilds the instance per bound, and
 diversified worker processes.  The engines visit the same bound/status
 trajectory and return the same optima.
 
-In the w/o-Alg configuration (Section 4.1) each SAT model is additionally
-rank-checked; the rare algebraically-dependent models (probability
-``4^-N``) are excluded with a blocking clause and the bound is retried —
-the "negligible failing probability" repair loop.
+Neither ``config.algebraic_independence`` setting emits the power-set
+algebraic-independence family of Section 3.4: ``2N`` pairwise-
+anticommuting strings are always GF(2)-independent (see
+:func:`build_base_formula`), so the family excludes no model the
+anticommutativity clauses admit and the probability of a dependent model
+is exactly 0, not the ``4^-N`` of Section 4.1.  Every SAT model is still
+rank-checked; a dependent one can only mean an encoder or solver bug and
+raises :class:`DependentModelError` instead of being returned.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from repro.encodings.base import MajoranaEncoding
 from repro.encodings.bravyi_kitaev import bravyi_kitaev
 from repro.encodings.serialization import encoding_to_dict, step_to_dict
 from repro.fermion.hamiltonians import FermionicHamiltonian
-from repro.paulis.symplectic import are_algebraically_independent
+from repro.paulis.symplectic import dependent_subset
 from repro.sat.solver import CdclSolver, SolverStats
 from repro.telemetry.progress import RungEtaEstimator
 
@@ -50,6 +54,23 @@ BISECTION = "bisection"
 #: Sentinel for ``solve_at(time_budget_s=...)``: "use the config budget".
 #: (``None`` is taken — it means unlimited.)
 _USE_CONFIG = object()
+
+
+class DependentModelError(RuntimeError):
+    """A SAT model decoded to algebraically dependent Majorana strings.
+
+    The instance forces pairwise anticommutation, which implies
+    independence, so this names an encoder or solver defect; the descent
+    fails closed instead of returning (or blocking and retrying) the model.
+    """
+
+    def __init__(self, bound: int, subset: list[int]):
+        self.bound = bound
+        self.subset = subset
+        super().__init__(
+            f"SAT model at bound {bound} is algebraically dependent: strings "
+            f"{subset} multiply to identity (encoder or solver defect)"
+        )
 
 
 def _span(telemetry, name: str, **attrs):
@@ -74,6 +95,8 @@ class DescentStep:
     achieved_weight: int | None
     elapsed_s: float
     stats: SolverStats = field(default_factory=SolverStats)
+    #: Always 0: dependent models cannot occur (see
+    #: :func:`build_base_formula`).  Kept in the serialized form.
     repairs: int = 0
 
     @property
@@ -103,6 +126,7 @@ class DescentResult:
     steps: list[DescentStep] = field(default_factory=list)
     construct_time_s: float = 0.0
     solve_time_s: float = 0.0
+    #: Always 0, like :attr:`DescentStep.repairs`.
     repairs: int = 0
     strategy: str = LINEAR
     #: One-time CNF simplification cost (0.0 when preprocessing is off or
@@ -198,11 +222,22 @@ def build_base_formula(
     Returns the encoder and the objective indicator literals; the descent
     loops copy the formula once per bound and append only the cardinality
     constraint.
+
+    The power-set family (:meth:`FermihedralEncoder.
+    add_algebraic_independence`) is never emitted, whatever
+    ``config.algebraic_independence`` says: anticommutativity already
+    implies it.  Suppose a subset ``S`` of the ``2N`` strings multiplies
+    to a multiple of ``I``, which commutes with everything.  If ``|S|`` is
+    even, any member of ``S`` anticommutes with the other ``|S| - 1``
+    members, an odd number, hence with the product.  If ``|S|`` is odd,
+    ``S`` is not the whole (even-sized) set, and any string outside ``S``
+    anticommutes with all ``|S|`` members, hence with the product.
+    Either way the product is not a multiple of ``I``.  An UNSAT answer
+    on this subset of the paper's clauses is therefore also one on all of
+    them.
     """
     encoder = FermihedralEncoder(num_modes)
     encoder.add_anticommutativity()
-    if config.algebraic_independence:
-        encoder.add_algebraic_independence()
     if config.vacuum_preservation:
         if config.exact_vacuum:
             encoder.add_exact_vacuum_preservation()
@@ -216,23 +251,32 @@ def build_base_formula(
 
 
 def _step_from_result(
-    bound: int, result, achieved_weight: int | None, repairs: int,
-    status: str | None = None,
+    bound: int, result, achieved_weight: int | None,
 ) -> DescentStep:
     """A :class:`DescentStep` carrying the solver statistics of ``result``."""
     return DescentStep(
         bound=bound,
-        status=status or result.status,
+        status=result.status,
         achieved_weight=achieved_weight,
         elapsed_s=result.elapsed_s,
         stats=result.stats,
-        repairs=repairs,
     )
 
 
+def _checked_decode(
+    encoder: FermihedralEncoder, model: dict[int, bool], bound: int,
+) -> MajoranaEncoding:
+    """Decode a SAT model, failing closed on dependent strings."""
+    candidate = encoder.decode(model)
+    subset = dependent_subset(candidate.strings)
+    if subset is not None:
+        raise DependentModelError(bound, subset)
+    return candidate
+
+
 class _BoundSolver:
-    """Answers "is there a valid encoding of weight <= bound?" with the
-    w/o-Alg repair loop and warm-start phase bookkeeping.
+    """Answers "is there a valid encoding of weight <= bound?" with
+    warm-start phase bookkeeping.
 
     Cold-start variant: every bound rebuilds the CNF (base formula copy +
     a baked-in cardinality constraint) and a fresh solver.  Kept as the
@@ -256,8 +300,6 @@ class _BoundSolver:
         self.phases = phases
         self.telemetry = telemetry
         self.engine_name = "cold"
-        self.blocking: list[list[int]] = []
-        self.total_repairs = 0
         self.solve_time_s = 0.0
         self.last_unsat_trace = None
 
@@ -270,7 +312,7 @@ class _BoundSolver:
     def solve_at(
         self, bound: int, time_budget_s=_USE_CONFIG,
     ) -> tuple[DescentStep, MajoranaEncoding | None]:
-        """One bound query; repairs dependent models until clean or capped.
+        """One bound query on a freshly built instance.
 
         ``time_budget_s`` overrides the config's per-call budget for this
         rung (the descent passes the time left to its deadline).
@@ -278,64 +320,45 @@ class _BoundSolver:
         if time_budget_s is _USE_CONFIG:
             time_budget_s = self.config.budget.time_budget_s
         working = self.encoder.formula.copy()
-        for clause in self.blocking:
-            working.add_clause(clause)
         base_formula, self.encoder.formula = self.encoder.formula, working
         self.encoder.add_weight_at_most(
             self.indicators, bound, qubit_weights=self.config.qubit_weights
         )
         self.encoder.formula = base_formula
 
-        level_repairs = 0
-        while True:
-            log = None
-            if self.config.proof:
-                from repro.sat.drat import ProofLog
+        log = None
+        if self.config.proof:
+            from repro.sat.drat import ProofLog
 
-                log = ProofLog()
-            solver = CdclSolver(working, seed_phases=self.phases, proof=log,
-                                telemetry=self.telemetry)
-            result = solver.solve(
-                max_conflicts=self.config.budget.max_conflicts,
-                time_budget_s=time_budget_s,
-            )
-            self.solve_time_s += result.elapsed_s
+            log = ProofLog()
+        solver = CdclSolver(working, seed_phases=self.phases, proof=log,
+                            telemetry=self.telemetry)
+        result = solver.solve(
+            max_conflicts=self.config.budget.max_conflicts,
+            time_budget_s=time_budget_s,
+        )
+        self.solve_time_s += result.elapsed_s
 
-            if result.is_unsat or not result.is_sat:
-                if result.is_unsat and log is not None:
-                    from repro.sat.drat import build_trace
+        if not result.is_sat:
+            if result.is_unsat and log is not None:
+                from repro.sat.drat import build_trace
 
-                    # The cold loop bakes the bound (and any blocking
-                    # clauses) into ``working``, so the trace is
-                    # self-contained with no assumptions.
-                    self.last_unsat_trace = build_trace(
-                        working, log, meta={"bound": bound, "engine": "cold"}
-                    )
-                return _step_from_result(bound, result, None, level_repairs), None
+                # The cold loop bakes the bound into ``working``, so the
+                # trace is self-contained with no assumptions.
+                self.last_unsat_trace = build_trace(
+                    working, log, meta={"bound": bound, "engine": "cold"}
+                )
+            return _step_from_result(bound, result, None), None
 
-            candidate = self.encoder.decode(result.model)
-            if not self.config.algebraic_independence and not (
-                are_algebraically_independent(candidate.strings)
-            ):
-                level_repairs += 1
-                self.total_repairs += 1
-                clause = self.encoder.blocking_clause(result.model)
-                self.blocking.append(clause)
-                working.add_clause(clause)
-                if level_repairs > self.config.max_repairs:
-                    step = _step_from_result(bound, result, None, level_repairs,
-                                             status="REPAIR-LIMIT")
-                    return step, None
-                continue
-
-            if self.config.warm_start:
-                self.phases = {
-                    v: result.model[v] for v in self.encoder.all_string_variables()
-                }
-            achieved = measured_weight(
-                candidate, self.hamiltonian, self.config.qubit_weights
-            )
-            return _step_from_result(bound, result, achieved, level_repairs), candidate
+        candidate = _checked_decode(self.encoder, result.model, bound)
+        if self.config.warm_start:
+            self.phases = {
+                v: result.model[v] for v in self.encoder.all_string_variables()
+            }
+        achieved = measured_weight(
+            candidate, self.hamiltonian, self.config.qubit_weights
+        )
+        return _step_from_result(bound, result, achieved), candidate
 
 
 class _IncrementalBoundSolver:
@@ -348,15 +371,12 @@ class _IncrementalBoundSolver:
     the same clause database.  Learned clauses, branching activities and
     saved phases all survive between bounds, so the ladder's later (and
     harder) rungs start from everything the earlier rungs discovered.
-    Blocking clauses from the w/o-Alg repair loop are added to the live
-    instance and persist for the rest of the descent, exactly like the
-    cold-start loop's replayed ``blocking`` list.
 
     With ``config.preprocess`` (the default) the instance handed to the
     solver backend is first simplified by :func:`repro.sat.preprocess.
     preprocess` — encoding variables and ladder selectors frozen, so
-    assumptions, repair blocking clauses and warm-start phases keep their
-    meaning — and every SAT model is lifted back onto the original
+    assumptions and warm-start phases keep their meaning — and every SAT
+    model is lifted back onto the original
     variables before decoding.  Preprocessing happens once per descent,
     ahead of solver construction, so a portfolio pays it once and every
     worker starts from the smaller formula.
@@ -386,7 +406,6 @@ class _IncrementalBoundSolver:
         self.engine_name = (
             "portfolio" if config.portfolio > 1 else "incremental"
         )
-        self.total_repairs = 0
         self.solve_time_s = 0.0
         self.preprocess_time_s = 0.0
         self.last_unsat_trace = None
@@ -421,7 +440,7 @@ class _IncrementalBoundSolver:
 
             # Everything the descent talks to the solver about afterwards
             # must survive simplification: the encoding bits (decode,
-            # blocking clauses, warm-start phases) and the ladder
+            # warm-start phases) and the ladder
             # selectors (per-rung assumptions).
             frozen = set(self.encoder.all_string_variables())
             frozen.update(abs(selector) for selector in self._selectors)
@@ -475,58 +494,44 @@ class _IncrementalBoundSolver:
             )
         selector = self._selectors[bound]
 
-        level_repairs = 0
-        while True:
-            result = self._solver.solve(
-                max_conflicts=self.config.budget.max_conflicts,
-                time_budget_s=time_budget_s,
-                assumptions=(selector,),
-            )
-            self.solve_time_s += result.elapsed_s
+        result = self._solver.solve(
+            max_conflicts=self.config.budget.max_conflicts,
+            time_budget_s=time_budget_s,
+            assumptions=(selector,),
+        )
+        self.solve_time_s += result.elapsed_s
 
-            if result.is_unsat or not result.is_sat:
-                if result.is_unsat and self._proof_log is not None:
-                    from repro.sat.drat import build_trace
+        if not result.is_sat:
+            if result.is_unsat and self._proof_log is not None:
+                from repro.sat.drat import build_trace
 
-                    # Overwritten on every UNSAT rung: the descent's
-                    # optimality proof is always the *last* UNSAT answer
-                    # (linear stops there; bisection's final raise of the
-                    # lower bound is its last UNSAT too).
-                    self.last_unsat_trace = build_trace(
-                        self._base_formula,
-                        self._proof_log,
-                        assumptions=(selector,),
-                        meta={"bound": bound, "engine": "incremental"},
-                    )
-                return _step_from_result(bound, result, None, level_repairs), None
+                # Overwritten on every UNSAT rung: the descent's
+                # optimality proof is always the *last* UNSAT answer
+                # (linear stops there; bisection's final raise of the
+                # lower bound is its last UNSAT too).
+                self.last_unsat_trace = build_trace(
+                    self._base_formula,
+                    self._proof_log,
+                    assumptions=(selector,),
+                    meta={"bound": bound, "engine": "incremental"},
+                )
+            return _step_from_result(bound, result, None), None
 
-            model = result.model
-            if self._reconstruct is not None:
-                # Lift the simplified-instance model back onto the original
-                # variable pool (eliminated variables get consistent values)
-                # before anything downstream reads it.
-                model = self._reconstruct(model)
-            candidate = self.encoder.decode(model)
-            if not self.config.algebraic_independence and not (
-                are_algebraically_independent(candidate.strings)
-            ):
-                level_repairs += 1
-                self.total_repairs += 1
-                self._solver.add_clause(self.encoder.blocking_clause(model))
-                if level_repairs > self.config.max_repairs:
-                    step = _step_from_result(bound, result, None, level_repairs,
-                                             status="REPAIR-LIMIT")
-                    return step, None
-                continue
-
-            if self.config.warm_start:
-                self._solver.set_phases({
-                    v: model[v] for v in self.encoder.all_string_variables()
-                })
-            achieved = measured_weight(
-                candidate, self.hamiltonian, self.config.qubit_weights
-            )
-            return _step_from_result(bound, result, achieved, level_repairs), candidate
+        model = result.model
+        if self._reconstruct is not None:
+            # Lift the simplified-instance model back onto the original
+            # variable pool (eliminated variables get consistent values)
+            # before anything downstream reads it.
+            model = self._reconstruct(model)
+        candidate = _checked_decode(self.encoder, model, bound)
+        if self.config.warm_start:
+            self._solver.set_phases({
+                v: model[v] for v in self.encoder.all_string_variables()
+            })
+        achieved = measured_weight(
+            candidate, self.hamiltonian, self.config.qubit_weights
+        )
+        return _step_from_result(bound, result, achieved), candidate
 
 
 def descend(
@@ -582,7 +587,6 @@ def descend(
     resumed_cp = None
     prior_steps: list[DescentStep] = []
     prior_solve_time = 0.0
-    prior_repairs = 0
     if checkpoint is not None:
         resumed_cp = checkpoint.load()
         if resumed_cp is not None and resumed_cp.strategy != config.strategy:
@@ -598,7 +602,6 @@ def descend(
                 except (ValueError, KeyError, TypeError):
                     prior_steps = []
                 prior_solve_time = resumed_cp.solve_time_s
-                prior_repairs = resumed_cp.repairs
 
     construct_start = time.monotonic()
     encoder, indicators = build_base_formula(num_modes, config, hamiltonian)
@@ -659,7 +662,6 @@ def descend(
             lower=lower,
             upper=upper,
             solve_time_s=prior_solve_time + bound_solver.solve_time_s,
-            repairs=prior_repairs + bound_solver.total_repairs,
             created_at=time.time(),
         ))
 
@@ -808,7 +810,6 @@ def descend(
         steps=steps,
         construct_time_s=construct_time,
         solve_time_s=prior_solve_time + bound_solver.solve_time_s,
-        repairs=prior_repairs + bound_solver.total_repairs,
         strategy=config.strategy,
         preprocess_time_s=getattr(bound_solver, "preprocess_time_s", 0.0),
         proof_trace=bound_solver.last_unsat_trace,

@@ -15,7 +15,11 @@ The encoder emits, on demand:
 * anticommutativity for every string pair (Section 3.3);
 * algebraic independence over the whole power set, with a Gray-code walk so
   each successive subset reuses the previous XOR accumulator at the cost of
-  one fresh gadget column (Section 3.4);
+  one fresh gadget column (Section 3.4).  The descent never emits it:
+  pairwise anticommutation already implies independence, so a dependent
+  model has probability exactly 0 (not Section 4.1's ``4^-N``).  It stays
+  as the paper's construction, for instance-size tables and as a test
+  oracle;
 * vacuum-state preservation via X/Y pair witnesses (Section 3.5);
 * Hamiltonian-independent or Hamiltonian-dependent weight bounds through a
   sequential-counter cardinality constraint (Sections 3.6/3.7).
@@ -390,14 +394,6 @@ class FermihedralEncoder:
                 operators[qubit] = _BITS_TO_OPERATOR[bits]
             strings.append(PauliString.from_operators(self.num_modes, operators))
         return MajoranaEncoding(strings, name="fermihedral", validate=validate)
-
-    def blocking_clause(self, model: dict[int, bool]) -> list[int]:
-        """Clause forbidding this exact string assignment (for repair loops
-        and model enumeration)."""
-        return [
-            (-variable if model[variable] else variable)
-            for variable in self.all_string_variables()
-        ]
 
     def encoding_assignment(self, encoding: MajoranaEncoding) -> dict[int, bool]:
         """Phase hints mapping a known encoding onto this encoder's variables

@@ -31,7 +31,7 @@ the search gives up, exactly as they do for the sequential solver.
 
 Workers hold their solver instance for the lifetime of the portfolio, so
 the incremental interface (``solve(assumptions=...)`` per descent rung,
-``add_clause`` for repair blocking clauses, ``set_phases`` for warm
+``add_clause`` for mid-run clauses, ``set_phases`` for warm
 starts) carries learned clauses across calls inside every worker, just
 like the in-process incremental engine.
 

@@ -6,8 +6,8 @@ string multiplication is vector addition.  Consequently, a set of strings is
 *algebraically independent* in the paper's sense (no subset multiplies to a
 scalar multiple of identity, Eq. 5) exactly when their key vectors are
 linearly independent over GF(2).  This module provides that rank machinery;
-it backs solution verification and the w/o-Alg repair loop in
-:mod:`repro.core.verify`.
+it backs solution verification in :mod:`repro.core.verify` and the descent's
+fail-closed check on every SAT model in :mod:`repro.core.descent`.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ Three layers live here:
 * :class:`ProofLog` — the append-only event sink the solver and
   preprocessor write to.  ``add``/``delete`` record DRAT lines;
   ``axiom`` records clauses injected mid-run through
-  ``CdclSolver.add_clause`` (blocking clauses, repairs).  Axioms are
+  ``CdclSolver.add_clause`` (e.g. blocking clauses).  Axioms are
   *hoisted into the checker's premise set* rather than logged as DRAT
   additions: RUP is monotone in the premise set, so a trace that checks
   against ``CNF + axioms`` is a valid refutation of that conjunction,

@@ -2,7 +2,8 @@
 
 Used by the Figure-4 experiment, which samples many distinct optimal
 encodings: after each model, a clause forbidding that assignment (projected
-onto the variables of interest) is added and the solver re-runs.
+onto the variables of interest) is added to one incremental solver, which
+re-runs with everything it learned so far.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from repro.sat.cnf import CnfFormula
-from repro.sat.solver import solve_formula
+from repro.sat.solver import CdclSolver
 
 
 def enumerate_models(
@@ -22,16 +23,15 @@ def enumerate_models(
 ) -> Iterator[dict[int, bool]]:
     """Yield up to ``limit`` models distinct on the ``projection`` variables.
 
-    The input formula is copied; blocking clauses accumulate on the copy.
-    Enumeration stops early on UNSAT (no more models) or when a per-model
-    budget expires.
+    The input formula is not mutated; blocking clauses accumulate in the
+    solver.  Enumeration stops early on UNSAT (no more models) or when a
+    per-model budget expires.
     """
     if not projection:
         raise ValueError("projection must name at least one variable")
-    working = formula.copy()
+    solver = CdclSolver(formula)
     for _ in range(limit):
-        result = solve_formula(
-            working,
+        result = solver.solve(
             max_conflicts=max_conflicts_per_model,
             time_budget_s=time_budget_s,
         )
@@ -39,5 +39,7 @@ def enumerate_models(
             return
         model = result.model
         yield model
-        blocking = [(-variable if model[variable] else variable) for variable in projection]
-        working.add_clause(blocking)
+        solver.add_clause([
+            (-variable if model[variable] else variable)
+            for variable in projection
+        ])

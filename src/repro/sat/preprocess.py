@@ -31,7 +31,7 @@ Techniques, applied to fixpoint (bounded by ``max_rounds``):
 **Frozen variables.**  Simplification must not outrun the caller's
 interface to the formula: any variable that later appears in solver
 *assumptions* (the descent ladder's bound selectors), in incrementally
-added clauses (repair blocking clauses over the encoding variables), or
+added clauses (e.g. blocking clauses over the encoding variables), or
 in phase hints must be declared ``frozen``.  Frozen variables are never
 eliminated, and when unit propagation fixes one at the root its unit
 clause is re-emitted into the simplified formula, so a later assumption

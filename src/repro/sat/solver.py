@@ -298,7 +298,7 @@ class CdclSolver:
             if literal == 0 or abs(literal) > self.num_vars:
                 raise ValueError(f"literal {literal} is not in this solver's pool")
         if self.proof is not None:
-            # Mid-run problem clauses (blocking clauses, repairs) join the
+            # Mid-run problem clauses (e.g. blocking clauses) join the
             # checker's premise set: RUP is monotone in the premises, so
             # the trace refutes exactly the conjunction the solver saw.
             self.proof.axiom(clause)

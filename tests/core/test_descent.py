@@ -2,10 +2,17 @@
 
 import pytest
 
-from repro.core import FermihedralConfig, SolverBudget, descend
+from repro.core import (
+    DependentModelError,
+    FermihedralConfig,
+    FermihedralEncoder,
+    SolverBudget,
+    descend,
+)
 from repro.core.verify import verify_encoding
-from repro.encodings import bravyi_kitaev, jordan_wigner
+from repro.encodings import MajoranaEncoding, bravyi_kitaev, jordan_wigner
 from repro.fermion import hubbard_chain
+from repro.paulis import PauliString
 
 
 class TestHamiltonianIndependent:
@@ -33,7 +40,7 @@ class TestHamiltonianIndependent:
     def test_steps_recorded(self, fast_config):
         result = descend(2, config=fast_config)
         assert result.sat_calls >= 1
-        assert result.steps[-1].status in ("UNSAT", "UNKNOWN", "SAT", "REPAIR-LIMIT")
+        assert result.steps[-1].status in ("UNSAT", "UNKNOWN", "SAT")
         assert result.construct_time_s >= 0.0
         assert result.solve_time_s >= 0.0
 
@@ -44,8 +51,8 @@ class TestHamiltonianIndependent:
 
 class TestWithoutAlgebraicIndependence:
     def test_same_optimum_as_full(self, fast_noalg_config):
-        """At these sizes the w/o-Alg optimum agrees with Full SAT (the
-        repair loop discards the rare dependent models)."""
+        """The w/o-Alg optimum agrees with Full SAT: both solve the same
+        instance, since anticommutation implies independence."""
         result = descend(2, config=fast_noalg_config)
         assert result.weight == 6
         assert verify_encoding(result.encoding).valid
@@ -57,7 +64,28 @@ class TestWithoutAlgebraicIndependence:
 
     def test_repairs_counted(self, fast_noalg_config):
         result = descend(2, config=fast_noalg_config)
-        assert result.repairs >= 0  # typically 0; never negative
+        assert result.repairs == 0
+        assert all(step.repairs == 0 for step in result.steps)
+
+
+class TestFailClosed:
+    """A dependent SAT model means an encoder or solver defect: the descent
+    raises instead of returning it or blocking it and retrying."""
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_dependent_model_raises(self, monkeypatch, incremental):
+        def defective_decode(self, model, validate=False):
+            x = PauliString.from_label("XI")
+            y = PauliString.from_label("YI")
+            return MajoranaEncoding([x, y, x, y], validate=False)
+
+        monkeypatch.setattr(FermihedralEncoder, "decode", defective_decode)
+        config = FermihedralConfig(
+            incremental=incremental, budget=SolverBudget(time_budget_s=30)
+        )
+        with pytest.raises(DependentModelError) as caught:
+            descend(2, config)
+        assert caught.value.subset == [0, 2]
 
 
 class TestBudgets:
@@ -126,8 +154,8 @@ class TestPreprocessing:
             assert verify_encoding(result.encoding).valid
 
     def test_preprocess_with_repair_loop(self):
-        """w/o-Alg mode adds blocking clauses over frozen encoding
-        variables to the live (preprocessed) instance."""
+        """w/o-Alg mode on the live (preprocessed) instance proves the
+        same optimum with a valid encoding."""
         config = FermihedralConfig(
             algebraic_independence=False,
             budget=SolverBudget(time_budget_s=30),

@@ -151,16 +151,3 @@ class TestWeights:
         encoder = FermihedralEncoder(3)
         with pytest.raises(ValueError):
             encoder.hamiltonian_weight_indicators(hubbard_chain(2))
-
-
-class TestBlockingClause:
-    def test_blocking_clause_excludes_model(self):
-        encoder = FermihedralEncoder(1)
-        encoder.add_anticommutativity()
-        first = solve_formula(encoder.formula)
-        assert first.is_sat
-        encoder.formula.add_clause(encoder.blocking_clause(first.model))
-        second = solve_formula(encoder.formula)
-        assert second.is_sat
-        projection = encoder.all_string_variables()
-        assert any(first.model[v] != second.model[v] for v in projection)

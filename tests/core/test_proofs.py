@@ -73,6 +73,19 @@ class TestDescentEngines:
         assert check_trace(result.proof_trace).ok
 
 
+class TestFullSatOptima:
+    """Without the power-set family, Full SAT still proves the paper's
+    optima, and every certificate checks against the emitted CNF."""
+
+    @pytest.mark.parametrize("num_modes, optimum", [(2, 6), (3, 11), (4, 16)])
+    def test_optimum_proved_with_checkable_trace(self, num_modes, optimum):
+        result = descend(num_modes, config=_proof_config())
+        assert result.weight == optimum
+        assert result.proved_optimal
+        verdict = check_trace(result.proof_trace)
+        assert verdict.ok, verdict.reason
+
+
 class TestCompilerAndCache:
     def test_compile_stores_a_checkable_artifact(self, tmp_path):
         cache = CompilationCache(tmp_path / "cache")

@@ -45,6 +45,18 @@ class TestStability:
         assert first == second
 
 
+    def test_pinned_keys(self):
+        """Keys of existing cache entries must not drift: the
+        ``algebraic_independence`` and ``max_repairs`` fields stay in every
+        config payload although neither changes the instance any more."""
+        assert compilation_key(3, FermihedralConfig()) == (
+            "194a78b6a9e0d97342b0d3fb221fb5ef41498ed4c949463521e72702ed1b23d4"
+        )
+        assert compilation_key(
+            3, FermihedralConfig(algebraic_independence=False)
+        ) == "dd5fd77d63bd34625c1486db17260067baf3f93024c57f31068ed53a8520f038"
+
+
 class TestSensitivity:
     def test_modes_change_the_key(self):
         config = FermihedralConfig()
