@@ -2,7 +2,8 @@
 
 Reproduces "Fermihedral: On the Optimal Compilation for Fermion-to-Qubit
 Encoding" (ASPLOS 2024).  The public API re-exports the pieces a typical
-workflow needs:
+workflow needs; each is imported on first use (see :mod:`repro._lazy`), so
+``import repro`` alone loads no subsystem and no third-party dependency:
 
     >>> from repro import FermihedralCompiler, h2_hamiltonian, bravyi_kitaev
     >>> h2 = h2_hamiltonian()
@@ -14,72 +15,47 @@ See DESIGN.md for the subsystem inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
 """
 
-from repro.circuits import (
-    QuantumCircuit,
-    optimize_circuit,
-    pauli_evolution_circuit,
-    trotter_circuit,
-)
-from repro.core import (
-    AnnealingSchedule,
-    CompilationResult,
-    FermihedralCompiler,
-    FermihedralConfig,
-    SolverBudget,
-    anneal_pairing,
-    descend,
-    solve_full_sat,
-    solve_hamiltonian_independent,
-    solve_sat_annealing,
-    verify_encoding,
-)
-from repro.encodings import (
-    MajoranaEncoding,
-    bravyi_kitaev,
-    jordan_wigner,
-    parity_encoding,
-    ternary_tree,
-)
-from repro.fermion import (
-    FermionOperator,
-    FermionicHamiltonian,
-    MajoranaPolynomial,
-    h2_hamiltonian,
-    hubbard_chain,
-    hubbard_lattice,
-    molecular_hamiltonian,
-    random_molecular_hamiltonian,
-    syk_hamiltonian,
-)
-from repro.hardware import (
-    DeviceTopology,
-    HardwareCost,
-    HardwareCostModel,
-    connectivity_weights,
-    get_device,
-    list_devices,
-    route_circuit,
-)
-from repro.parallel import PortfolioSolver, ProcessBatchExecutor
-from repro.paulis import PauliString, PauliSum
-from repro.service import CompilationService, ServiceClient
-from repro.store import (
-    BatchCompiler,
-    CompilationCache,
-    CompileJob,
-    compilation_key,
-    default_cache_dir,
-)
-from repro.telemetry import MetricsRegistry, Telemetry, Tracer
-from repro.simulator import (
-    NoiseModel,
-    diagonalize,
-    expectation_pauli_sum,
-    ionq_aria1_noise,
-    run_circuit,
-    simulate_noisy_energy,
-    zero_state,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.circuits": (
+        "QuantumCircuit", "optimize_circuit", "pauli_evolution_circuit",
+        "trotter_circuit",
+    ),
+    "repro.core": (
+        "AnnealingSchedule", "CompilationResult", "FermihedralCompiler",
+        "FermihedralConfig", "SolverBudget", "anneal_pairing", "descend",
+        "solve_full_sat", "solve_hamiltonian_independent",
+        "solve_sat_annealing", "verify_encoding",
+    ),
+    "repro.encodings": (
+        "MajoranaEncoding", "bravyi_kitaev", "jordan_wigner",
+        "parity_encoding", "ternary_tree",
+    ),
+    "repro.fermion": (
+        "FermionOperator", "FermionicHamiltonian", "MajoranaPolynomial",
+        "h2_hamiltonian", "hubbard_chain", "hubbard_lattice",
+        "molecular_hamiltonian", "random_molecular_hamiltonian",
+        "syk_hamiltonian",
+    ),
+    "repro.hardware": (
+        "DeviceTopology", "HardwareCost", "HardwareCostModel",
+        "connectivity_weights", "get_device", "list_devices", "route_circuit",
+    ),
+    "repro.parallel": ("PortfolioSolver", "ProcessBatchExecutor"),
+    "repro.paulis": ("PauliString", "PauliSum"),
+    "repro.service": ("CompilationService", "ServiceClient"),
+    "repro.store": (
+        "BatchCompiler", "CompilationCache", "CompileJob", "compilation_key",
+        "default_cache_dir",
+    ),
+    "repro.telemetry": ("MetricsRegistry", "Telemetry", "Tracer"),
+    "repro.simulator": (
+        "NoiseModel", "diagonalize", "expectation_pauli_sum",
+        "ionq_aria1_noise", "run_circuit", "simulate_noisy_energy",
+        "zero_state",
+    ),
+})
 
 # Single source of truth for the package version: setup.py parses this
 # constant, so installed-distribution metadata can never disagree with the

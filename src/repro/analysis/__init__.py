@@ -1,29 +1,24 @@
 """Analysis helpers: weight metrics, regression fits, dependence
 probabilities, and the benchmark perf-history ledger."""
 
-from repro.analysis.independence import (
-    ProbabilityEstimate,
-    column_event_holds,
-    estimate_simultaneous_probability,
-    sample_optimal_encodings,
-)
-from repro.analysis.perfhistory import (
-    ComparisonReport,
-    MetricDelta,
-    compare_runs,
-    format_report,
-    read_history,
-    record_run,
-)
-from repro.analysis.regression import LogFit, fit_log2, improvement_percent
-from repro.analysis.tables import format_percent, format_table
-from repro.analysis.weights import (
-    RoutedCostComparison,
-    WeightComparison,
-    average_weight_per_majorana,
-    compare_hamiltonian_weight,
-    compare_routed_cost,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.independence": (
+        "ProbabilityEstimate", "column_event_holds",
+        "estimate_simultaneous_probability", "sample_optimal_encodings",
+    ),
+    "repro.analysis.perfhistory": (
+        "ComparisonReport", "MetricDelta", "compare_runs", "format_report",
+        "read_history", "record_run",
+    ),
+    "repro.analysis.regression": ("LogFit", "fit_log2", "improvement_percent"),
+    "repro.analysis.tables": ("format_percent", "format_table"),
+    "repro.analysis.weights": (
+        "RoutedCostComparison", "WeightComparison", "average_weight_per_majorana",
+        "compare_hamiltonian_weight", "compare_routed_cost",
+    ),
+})
 
 __all__ = [
     "ComparisonReport",

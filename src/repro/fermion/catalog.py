@@ -19,9 +19,7 @@ from __future__ import annotations
 
 from repro.fermion.hamiltonians import FermionicHamiltonian
 from repro.fermion.hubbard import hubbard_chain, hubbard_lattice
-from repro.fermion.molecules import h2_hamiltonian, random_molecular_hamiltonian
 from repro.fermion.spinless import tv_chain
-from repro.fermion.syk import syk_hamiltonian
 
 #: One-line spec grammar, shared by CLI help strings.
 MODEL_SPEC_HELP = (
@@ -33,7 +31,11 @@ def parse_model(spec: str) -> FermionicHamiltonian:
     """Build a Hamiltonian from a ``family[:params]`` spec string."""
     family, _, parameter = spec.partition(":")
     family = family.lower()
+    # The molecular and SYK builders need numpy; import them only when a
+    # spec asks for them, so lattice and mode-count compiles never do.
     if family == "h2":
+        from repro.fermion.molecules import h2_hamiltonian
+
         return h2_hamiltonian()
     if family == "hubbard":
         if not parameter:
@@ -45,10 +47,14 @@ def parse_model(spec: str) -> FermionicHamiltonian:
     if family == "syk":
         if not parameter:
             raise ValueError("syk needs a mode count: syk:4")
+        from repro.fermion.syk import syk_hamiltonian
+
         return syk_hamiltonian(int(parameter))
     if family == "electronic":
         if not parameter:
             raise ValueError("electronic needs a mode count: electronic:6")
+        from repro.fermion.molecules import random_molecular_hamiltonian
+
         return random_molecular_hamiltonian(int(parameter))
     if family == "tv":
         if not parameter:

@@ -13,13 +13,36 @@ count makes it the cheapest family for Full SAT studies.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.fermion.hamiltonians import FermionicHamiltonian
+from repro.fermion.hubbard import chain_bonds, graph_bonds
 from repro.fermion.operators import FermionOperator
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 DEFAULT_TUNNELING = 1.0
 DEFAULT_REPULSION = 1.5
+
+
+def _tv_from_bonds(
+    num_sites: int,
+    bonds: list[tuple[int, int]],
+    tunneling: float,
+    repulsion: float,
+    name: str,
+) -> FermionicHamiltonian:
+    operator = FermionOperator.zero()
+    for i, j in bonds:
+        hop = FermionOperator.from_monomial(((i, True), (j, False)), -tunneling)
+        operator = operator + hop + hop.hermitian_conjugate()
+        operator = operator + (
+            FermionOperator.number(i) * FermionOperator.number(j)
+        ) * repulsion
+    return FermionicHamiltonian.from_fermion_operator(
+        name, operator, num_modes=num_sites
+    )
 
 
 def tv_model_from_graph(
@@ -29,19 +52,8 @@ def tv_model_from_graph(
     name: str = "tv-model",
 ) -> FermionicHamiltonian:
     """Spinless t-V Hamiltonian on an arbitrary site graph."""
-    sites = sorted(graph.nodes())
-    index = {site: position for position, site in enumerate(sites)}
-    operator = FermionOperator.zero()
-    for left, right in graph.edges():
-        i, j = index[left], index[right]
-        hop = FermionOperator.from_monomial(((i, True), (j, False)), -tunneling)
-        operator = operator + hop + hop.hermitian_conjugate()
-        operator = operator + (
-            FermionOperator.number(i) * FermionOperator.number(j)
-        ) * repulsion
-    return FermionicHamiltonian.from_fermion_operator(
-        name, operator, num_modes=len(sites)
-    )
+    num_sites, bonds = graph_bonds(graph)
+    return _tv_from_bonds(num_sites, bonds, tunneling, repulsion, name)
 
 
 def tv_chain(
@@ -53,6 +65,7 @@ def tv_chain(
     """1-D spinless t-V chain (periodic by default)."""
     if num_sites < 2:
         raise ValueError("a chain needs at least two sites")
-    graph = nx.cycle_graph(num_sites) if periodic else nx.path_graph(num_sites)
     label = f"tv-1d-{num_sites}{'p' if periodic else ''}"
-    return tv_model_from_graph(graph, tunneling, repulsion, name=label)
+    return _tv_from_bonds(
+        num_sites, chain_bonds(num_sites, periodic), tunneling, repulsion, label
+    )

@@ -620,7 +620,10 @@ RULES = [
             "interpreter: workers spawn them in subprocesses, CI smoke jobs "
             "import them before dependencies install, and the linter itself "
             "must lint a broken tree. Third-party imports are allowed only "
-            "via an explicit ALLOWED_THIRD_PARTY declaration."
+            "via an explicit ALLOWED_THIRD_PARTY declaration. This rule "
+            "checks direct imports only; tests/test_import_budget.py holds "
+            "the indirect ones by importing these layers, and running the "
+            "CLI's compiles, with numpy and networkx blocked."
         ),
         bad_example=(
             "# src/repro/sat/fancy.py\n"

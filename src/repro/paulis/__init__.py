@@ -1,16 +1,17 @@
 """Pauli algebra substrate: strings, sums and GF(2) symplectic structure."""
 
-from repro.paulis.matrices import pauli_string_matrix, pauli_sum_matrix
-from repro.paulis.operators import LABELS, MATRICES, PRODUCTS, operators_anticommute
-from repro.paulis.strings import PauliString
-from repro.paulis.symplectic import (
-    are_algebraically_independent,
-    dependent_subset,
-    gf2_rank,
-    pairwise_anticommuting,
-    strings_rank,
-)
-from repro.paulis.terms import PauliSum, sum_of
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.paulis.matrices": ("MATRICES", "pauli_string_matrix", "pauli_sum_matrix"),
+    "repro.paulis.operators": ("LABELS", "PRODUCTS", "operators_anticommute"),
+    "repro.paulis.strings": ("PauliString",),
+    "repro.paulis.symplectic": (
+        "are_algebraically_independent", "dependent_subset", "gf2_rank",
+        "pairwise_anticommuting", "strings_rank",
+    ),
+    "repro.paulis.terms": ("PauliSum", "sum_of"),
+})
 
 __all__ = [
     "LABELS",

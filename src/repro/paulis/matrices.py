@@ -10,9 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.paulis.operators import MATRICES
 from repro.paulis.strings import PauliString
 from repro.paulis.terms import PauliSum
+
+#: The four single-qubit operators as dense matrices.
+MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
 
 
 def pauli_string_matrix(string: PauliString) -> np.ndarray:

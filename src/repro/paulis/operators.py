@@ -4,23 +4,15 @@ The rest of the package represents a Pauli string as a pair of bitmasks
 ``(x_mask, z_mask)`` — qubit ``i`` carries ``X`` when bit ``i`` of ``x_mask``
 is set, ``Z`` when bit ``i`` of ``z_mask`` is set, and ``Y`` when both are
 set.  This module holds the scalar, human-facing side of that encoding:
-labels, 2x2 matrices and the single-operator product table used by tests.
+labels and the single-operator product table used by tests.  The dense
+2x2 matrices live in :mod:`repro.paulis.matrices`, so the compile path never
+needs numpy.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 #: Canonical operator labels indexed by ``(x_bit, z_bit)`` packed as ``x + 2*z``.
 LABELS = ("I", "X", "Z", "Y")
-
-#: The four single-qubit operators as dense matrices.
-MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 #: ``PRODUCTS[(a, b)] == (phase, c)`` with ``a @ b == phase * c``.
 PRODUCTS = {

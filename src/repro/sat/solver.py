@@ -503,12 +503,20 @@ class CdclSolver:
     # -- branching ------------------------------------------------------------------
 
     def _bump_variable(self, variable: int) -> None:
-        self.activity[variable] += self.var_inc
-        if self.activity[variable] > _ACTIVITY_RESCALE:
+        activity = self.activity
+        activity[variable] += self.var_inc
+        if activity[variable] > _ACTIVITY_RESCALE:
             for v in range(1, self.num_vars + 1):
-                self.activity[v] *= 1e-100
+                activity[v] *= 1e-100
             self.var_inc *= 1e-100
-        heapq.heappush(self.order_heap, (-self.activity[variable], variable))
+            # Queued entries still carry pre-rescale keys that would
+            # outrank every later push: requeue at current activities.
+            in_use = self.in_use
+            self.order_heap = [(-activity[v], v) for v in range(1, self.num_vars + 1)
+                               if in_use[v]]
+            heapq.heapify(self.order_heap)
+            return
+        heapq.heappush(self.order_heap, (-activity[variable], variable))
 
     def _decay_activities(self) -> None:
         self.var_inc /= self.activity_decay

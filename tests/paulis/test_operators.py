@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.paulis.matrices import MATRICES
 from repro.paulis.operators import (
     LABELS,
-    MATRICES,
     PRODUCTS,
     label_from_bits,
     operators_anticommute,

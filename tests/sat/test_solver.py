@@ -160,6 +160,25 @@ class TestSeedPhases:
         assert result.is_sat
 
 
+class TestVsidsRescale:
+    def test_rescale_requeues_at_current_activities(self):
+        """After the 1e-100 rescale, a variable bumped before it (activity
+        9e99 -> 0.9) must not outrank the one that triggered it (1.2e100 ->
+        1.2) on the strength of its stale pre-rescale heap key."""
+        formula = CnfFormula()
+        formula.new_variables(4)
+        formula.add_clause((1, 2, 3, 4))
+        solver = CdclSolver(formula)
+        solver.var_inc = 9e99
+        solver._bump_variable(1)
+        solver.var_inc = 1.2e100
+        solver._bump_variable(4)
+        assert solver.activity[1] == pytest.approx(0.9)
+        assert solver.activity[4] == pytest.approx(1.2)
+        assert solver._pick_branch_variable() == 4
+        assert solver._pick_branch_variable() == 1
+
+
 class TestLuby:
     def test_prefix(self):
         assert [luby(i) for i in range(1, 16)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
