@@ -52,6 +52,20 @@ encoded in-band as negative values (``reason = -other_literal - 1``), and
 a binary conflict is materialized into a fixed two-literal scratch slot of
 the arena (``cref == 1``) for conflict analysis to consume.
 
+The VSIDS order heap (:attr:`CdclSolver.order_heap`) is a lazy ``heapq``
+of ``(-activity, variable)`` keys: a bump pushes a fresh key instead of
+moving the old one, so older keys for the same variable go *stale*.  The
+per-variable flag :attr:`CdclSolver.queued` means "the heap holds an entry
+carrying this variable's current activity".  A bump pushes and sets it,
+popping the current key clears it, and backtracking requeues an unassigned
+in-use variable only when the flag is clear.  Every free in-use variable
+thus always has its current key in the heap, and stale keys carry strictly
+lower activity, so they pop later.  The pick is therefore exactly the
+argmax of ``(activity, -variable)`` over free in-use variables.  Stale
+keys still accumulate with bumps, so once the heap exceeds
+``_HEAP_SLACK * num_vars`` entries it is rebuilt with one entry per in-use
+variable; the VSIDS rescale reuses the same rebuild.
+
 Literals are DIMACS integers at the API boundary and are encoded internally
 as ``2*v`` (positive) / ``2*v + 1`` (negative) for array indexing.
 """
@@ -73,6 +87,9 @@ UNKNOWN = "UNKNOWN"
 _ACTIVITY_RESCALE = 1e100
 _ACTIVITY_DECAY = 0.95
 _RESTART_BASE = 128
+#: The order heap is rebuilt once it holds more than this many entries
+#: per variable (see "Hot-loop layout" above).
+_HEAP_SLACK = 4
 
 #: :attr:`CdclSolver.assign` cell states (indexed by encoded literal).
 _FREE, _TRUE, _FALSE = 0, 1, 2
@@ -253,6 +270,9 @@ class CdclSolver:
         # search space at the simplified instance's true size.
         self.in_use = bytearray(n + 1)
         self.order_heap: list[tuple[float, int]] = []
+        # queued[v]: order_heap holds an entry with v's current activity.
+        self.queued = bytearray(n + 1)
+        self._heap_limit = _HEAP_SLACK * n
         # Arena cell 0 is a sentinel ("no reason"); cells 1..3 are the
         # scratch clause binary conflicts are materialized into.
         self.db: list[int] = [0, 2 << 1, 0, 0]
@@ -334,6 +354,7 @@ class CdclSolver:
         variable = encoded >> 1
         if not self.in_use[variable]:
             self.in_use[variable] = 1
+            self.queued[variable] = 1
             heapq.heappush(self.order_heap, (-self.activity[variable], variable))
 
     def _watch(self, cref: int, lit0: int, lit1: int) -> None:
@@ -511,16 +532,26 @@ class CdclSolver:
             self.var_inc *= 1e-100
             # Queued entries still carry pre-rescale keys that would
             # outrank every later push: requeue at current activities.
-            in_use = self.in_use
-            self.order_heap = [(-activity[v], v) for v in range(1, self.num_vars + 1)
-                               if in_use[v]]
-            heapq.heapify(self.order_heap)
+            self._rebuild_order_heap()
             return
+        self.queued[variable] = 1
         heapq.heappush(self.order_heap, (-activity[variable], variable))
+        if len(self.order_heap) > self._heap_limit:
+            self._rebuild_order_heap()
+
+    def _rebuild_order_heap(self) -> None:
+        """Replace the heap by one current-activity entry per in-use variable."""
+        activity = self.activity
+        in_use = self.in_use
+        self.order_heap = [(-activity[v], v) for v in range(1, self.num_vars + 1)
+                           if in_use[v]]
+        heapq.heapify(self.order_heap)
+        self.queued[:] = in_use
 
     def _decay_activities(self) -> None:
         self.var_inc /= self.activity_decay
 
+    # repro-lint: hot-path
     def _pick_branch_variable(self) -> int | None:
         if self._rng is not None and self._rng.random() < self.random_branch_freq:
             # Diversification: a bounded number of uniform draws; falls
@@ -529,13 +560,18 @@ class CdclSolver:
                 variable = self._rng.randint(1, self.num_vars)
                 if self.assign[variable << 1] == _FREE and self.in_use[variable]:
                     return variable
-        while self.order_heap:
-            _, variable = heapq.heappop(self.order_heap)
-            if self.assign[variable << 1] == _FREE:
+        heap = self.order_heap
+        activity = self.activity
+        queued = self.queued
+        assign = self.assign
+        while heap:
+            key, variable = heapq.heappop(heap)
+            if key == -activity[variable]:
+                queued[variable] = 0
+            if assign[variable << 1] == _FREE:
                 return variable
-        for variable in range(1, self.num_vars + 1):
-            if self.assign[variable << 1] == _FREE and self.in_use[variable]:
-                return variable
+        # Every free in-use variable holds its current key in the heap (see
+        # "Hot-loop layout" above), so an empty heap means none is free.
         return None
 
     # -- conflict analysis --------------------------------------------------------------
@@ -644,18 +680,28 @@ class CdclSolver:
                     return False
         return True
 
+    # repro-lint: hot-path
     def _backtrack(self, target_level: int) -> None:
         if len(self.trail_lim) <= target_level:
             return
         boundary = self.trail_lim[target_level]
         assign = self.assign
+        reason = self.reason
+        saved_phase = self.saved_phase
+        activity = self.activity
+        in_use = self.in_use
+        queued = self.queued
+        heap = self.order_heap
         for encoded in reversed(self.trail[boundary:]):
             variable = encoded >> 1
             assign[encoded] = _FREE
             assign[encoded ^ 1] = _FREE
-            self.reason[variable] = 0
-            self.saved_phase[variable] = (encoded & 1) == 0
-            heapq.heappush(self.order_heap, (-self.activity[variable], variable))
+            reason[variable] = 0
+            saved_phase[variable] = (encoded & 1) == 0
+            # Assumption-only variables (in no clause) are never decided.
+            if in_use[variable] and not queued[variable]:
+                queued[variable] = 1
+                heapq.heappush(heap, (-activity[variable], variable))
         del self.trail[boundary:]
         del self.trail_lim[target_level:]
         self.qhead = len(self.trail)

@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+import repro.core.descent as descent_module
 from repro.core import FermihedralCompiler, FermihedralConfig, SolverBudget, descend
 from repro.encodings.serialization import result_from_dict, result_to_dict
 from repro.fermion import tv_chain
@@ -73,17 +74,76 @@ class TestDescentEngines:
         assert check_trace(result.proof_trace).ok
 
 
+#: Per rung ``(bound, status, conflicts, decisions, propagations)`` and the
+#: proof trace's sha256 prefix of the default Full-SAT descent.  Any change
+#: to the solver's search (branching, learning, restarts) moves these.
+_PINNED_DESCENTS = {
+    2: ([(6, "SAT", 1, 6, 52), (5, "UNSAT", 9, 9, 230)], "7dc3e6e9a26eafcb"),
+    3: ([(13, "SAT", 1, 18, 174), (12, "SAT", 20, 47, 756),
+         (11, "SAT", 5, 24, 316), (10, "UNSAT", 531, 723, 21135)],
+        "f7099fecfcf8e796"),
+    4: ([(20, "SAT", 2, 35, 417), (19, "SAT", 31, 78, 1995),
+         (18, "SAT", 24, 90, 1547), (15, "UNSAT", 3953, 5865, 267919)],
+        "5fc0bece0185ad3e"),
+}
+
+
+@pytest.fixture(scope="module")
+def full_sat_descent():
+    """Run the default proof descent once per mode count in this module.
+
+    Returns ``(result, heaps)`` where ``heaps`` lists ``(len(order_heap),
+    num_vars)`` for every CDCL solver the descent built, read once it ended.
+    """
+    runs = {}
+
+    def run(num_modes: int):
+        if num_modes not in runs:
+            solvers = []
+
+            class RecordingSolver(descent_module.CdclSolver):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    solvers.append(self)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(descent_module, "CdclSolver", RecordingSolver)
+                result = descend(num_modes, config=_proof_config())
+            runs[num_modes] = (result, [(len(solver.order_heap), solver.num_vars)
+                                        for solver in solvers])
+        return runs[num_modes]
+
+    return run
+
+
 class TestFullSatOptima:
     """Without the power-set family, Full SAT still proves the paper's
     optima, and every certificate checks against the emitted CNF."""
 
     @pytest.mark.parametrize("num_modes, optimum", [(2, 6), (3, 11), (4, 16)])
-    def test_optimum_proved_with_checkable_trace(self, num_modes, optimum):
-        result = descend(num_modes, config=_proof_config())
+    def test_optimum_proved_with_checkable_trace(self, num_modes, optimum,
+                                                 full_sat_descent):
+        result, _ = full_sat_descent(num_modes)
         assert result.weight == optimum
         assert result.proved_optimal
         verdict = check_trace(result.proof_trace)
         assert verdict.ok, verdict.reason
+
+    @pytest.mark.parametrize("num_modes", sorted(_PINNED_DESCENTS))
+    def test_search_trajectory_is_pinned(self, num_modes, full_sat_descent):
+        result, _ = full_sat_descent(num_modes)
+        steps, sha_prefix = _PINNED_DESCENTS[num_modes]
+        assert [(step.bound, step.status, step.conflicts, step.decisions,
+                 step.propagations) for step in result.steps] == steps
+        assert result.proof_trace.sha256()[:16] == sha_prefix
+
+    def test_order_heap_stays_bounded(self, full_sat_descent):
+        """Stale VSIDS keys are dropped: after the whole N=4 proof the heap
+        holds a small multiple of the variable count."""
+        _, heaps = full_sat_descent(4)
+        assert len(heaps) == 1
+        heap_size, num_vars = heaps[0]
+        assert heap_size <= 8 * num_vars
 
 
 class TestCompilerAndCache:

@@ -179,6 +179,76 @@ class TestVsidsRescale:
         assert solver._pick_branch_variable() == 1
 
 
+class TestOrderHeap:
+    """The VSIDS heap is lazy, yet every pick is the exact argmax of
+    ``(activity, -variable)`` over free in-use variables."""
+
+    _OPS = st.sampled_from(["bump", "decay", "decide", "imply", "backtrack",
+                            "rescale", "pick"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_OPS, st.integers(1, 6)), max_size=150))
+    def test_pick_is_the_activity_argmax(self, ops):
+        formula = CnfFormula()
+        formula.new_variables(6)
+        formula.add_clause((1, 2, 3))
+        formula.add_clause((-3, 4, 5))  # variable 6 is in no clause
+        solver = CdclSolver(formula)
+        in_use = [v for v in range(1, 7) if solver.in_use[v]]
+
+        def free(variable):
+            return solver.assign[variable << 1] == 0
+
+        def decide(variable):
+            solver.trail_lim.append(len(solver.trail))
+            solver._enqueue(variable << 1, 0)
+
+        def check_pick():
+            candidates = [v for v in in_use if free(v)]
+            expected = (max(candidates, key=lambda v: (solver.activity[v], -v))
+                        if candidates else None)
+            picked = solver._pick_branch_variable()
+            assert picked == expected
+            if picked is not None:
+                decide(picked)
+            return picked
+
+        for op, arg in ops:
+            if op == "bump":
+                solver._bump_variable(in_use[arg % len(in_use)])
+            elif op == "decay":
+                solver._decay_activities()
+            elif op == "decide" and free(arg):
+                decide(arg)  # variable 6 stands in for an assumption
+            elif op == "imply" and free(arg) and solver.trail_lim:
+                solver._enqueue(arg << 1 | 1, 0)
+            elif op == "backtrack":
+                solver._backtrack(arg % (len(solver.trail_lim) + 1))
+            elif op == "rescale":
+                solver.var_inc = 1e100
+                solver._bump_variable(in_use[arg % len(in_use)])
+            elif op == "pick":
+                check_pick()
+        assert len(solver.order_heap) <= 8 * solver.num_vars
+        # Drain to a full assignment, as a satisfying search ends.
+        while check_pick() is not None:
+            pass
+
+    def test_assumed_unconstrained_variable_is_not_decided(self):
+        """A variable in no clause that was only ever assumed must not be
+        requeued on backtrack: the follow-up call decides one variable."""
+        formula = CnfFormula()
+        formula.new_variables(3)
+        formula.add_clause((1, 2))
+        formula.add_clause((-1, 2))
+        solver = CdclSolver(formula)
+        assert solver.solve(assumptions=(3,)).is_sat
+        result = solver.solve()
+        assert result.is_sat
+        assert result.decisions == 1
+        assert result.model[2] is True
+
+
 class TestLuby:
     def test_prefix(self):
         assert [luby(i) for i in range(1, 16)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
