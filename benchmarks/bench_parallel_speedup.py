@@ -1,21 +1,15 @@
-"""Parallel-engine benchmark — batch fan-out vs naive serial, and
-incremental vs cold-start descent.
+"""Parallel-engine benchmark — batch fan-out vs naive serial.
 
-Two comparisons, mirroring the two halves of the parallel subsystem:
-
-* **batch** — a sweep-shaped workload (each distinct job appears several
-  times, as a bond-length sweep does after coefficient-free
-  fingerprinting) compiled two ways: the naive serial loop a user would
-  write (one ``FermihedralCompiler`` per job, no dedup, no cache) vs the
-  4-worker ``BatchCompiler`` process executor (fingerprint dedup before
-  dispatch, shared cache, parent-side fast path).  The reported speedup
-  therefore compounds deduplication with process parallelism — both are
-  things the serial loop does not do.  The acceptance bar is >= 1.8x;
-  identical weights and optimality proofs across arms are asserted, and
-  ``--jobs 1`` vs ``--jobs 4`` equality of the batch executor itself is
-  asserted on top.
-* **descent** — one incremental SAT instance with assumption-activated
-  bounds vs rebuilding the CNF at every rung of the weight ladder, cold.
+A sweep-shaped workload (each distinct job appears several times, as a
+bond-length sweep does after coefficient-free fingerprinting) compiled
+two ways: the naive serial loop a user would write (one
+``FermihedralCompiler`` per job, no dedup, no cache) vs the 4-worker
+``BatchCompiler`` process executor (fingerprint dedup before dispatch,
+shared cache, parent-side fast path).  The reported speedup therefore
+compounds deduplication with process parallelism — both are things the
+serial loop does not do.  The acceptance bar is >= 1.8x; identical
+weights and optimality proofs across arms are asserted, and ``--jobs 1``
+vs ``--jobs 4`` equality of the batch executor itself is asserted on top.
 
 Scale knobs: ``FERMIHEDRAL_BENCH_MAX_MODES`` caps the sweep's mode
 count, ``FERMIHEDRAL_BENCH_BUDGET_S`` the per-SAT-call budget.
@@ -29,7 +23,6 @@ import time
 from _harness import budget_seconds, max_modes, report
 
 from repro.core import FermihedralCompiler, FermihedralConfig, SolverBudget
-from repro.core.descent import descend
 from repro.store import BatchCompiler, CompilationCache, CompileJob
 
 #: How many times each distinct job repeats in the sweep workload.
@@ -93,28 +86,12 @@ def test_parallel_speedup():
     assert [(o.result.weight, o.result.proved_optimal) for o in one.outcomes] \
         == batch_answers
 
-    # Incremental vs cold-start descent on the hardest mode count.
-    started = time.monotonic()
-    incremental = descend(modes_cap, config)
-    incremental_s = time.monotonic() - started
-    started = time.monotonic()
-    cold = descend(modes_cap, config.with_parallelism(incremental=False))
-    cold_s = time.monotonic() - started
-    assert incremental.weight == cold.weight
-    assert incremental.proved_optimal == cold.proved_optimal
-    descent_speedup = cold_s / max(incremental_s, 1e-9)
-
     lines = [
         f"workload: {len(jobs)} jobs "
         f"({len(jobs) // SWEEP_REPEATS} unique x {SWEEP_REPEATS} sweep points), "
         f"modes 2..{modes_cap}",
         f"serial loop      {serial_s:8.2f}s",
         f"4-worker batch   {batch_s:8.2f}s   speedup {batch_speedup:5.2f}x",
-        "",
-        f"descent at N={modes_cap}: "
-        f"cold {cold_s:.2f}s vs incremental {incremental_s:.2f}s "
-        f"({descent_speedup:.2f}x, weight {incremental.weight}, "
-        f"proved={incremental.proved_optimal})",
     ]
     report(
         "parallel_speedup",
@@ -132,11 +109,6 @@ def test_parallel_speedup():
                 "serial_wall_s": serial_s,
                 "parallel_wall_s": batch_s,
                 "speedup": batch_speedup,
-            },
-            "descent": {
-                "cold_wall_s": cold_s,
-                "incremental_wall_s": incremental_s,
-                "speedup": descent_speedup,
             },
         },
     )

@@ -1,6 +1,6 @@
-"""The parallel engine in action: process fan-out, portfolio, incremental.
+"""The parallel engine in action: process fan-out and portfolio racing.
 
-Three demonstrations:
+Two demonstrations:
 
 1. **Batch fan-out** — a sweep-shaped job list (duplicates included, as a
    bond-length sweep produces after coefficient-free fingerprinting)
@@ -9,8 +9,6 @@ Three demonstrations:
    optimality proofs at either worker count.
 2. **Portfolio racing** — one descent solved with 1, 2 and 4 diversified
    solver processes racing every SAT call; same optimum at every width.
-3. **Incremental vs cold-start descent** — the assumption-ladder engine
-   against rebuilding the CNF at every bound.
 
 Run:  python examples/parallel_batch.py
 """
@@ -76,19 +74,6 @@ def demo_portfolio() -> None:
               f"{result.total_conflicts} conflicts)")
 
 
-def demo_incremental() -> None:
-    print("--- descent: incremental ladder vs cold start ---")
-    for incremental in (False, True):
-        config = FermihedralConfig(incremental=incremental)
-        started = time.monotonic()
-        result = descend(3, config)
-        label = "incremental" if incremental else "cold-start "
-        print(f"  {label}: weight={result.weight} "
-              f"sat_calls={result.sat_calls} "
-              f"({time.monotonic() - started:.2f}s)")
-
-
 if __name__ == "__main__":
     demo_batch()
     demo_portfolio()
-    demo_incremental()

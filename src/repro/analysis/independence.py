@@ -51,9 +51,10 @@ def sample_optimal_encodings(
     encoder, indicators = build_base_formula(num_modes, config)
     # The frozen bound must live in the same units descend() optimized —
     # with a connectivity-weighted config, that is the weighted objective.
-    encoder.add_weight_at_most(
+    selectors = encoder.weight_ladder(
         indicators, optimum.weight, qubit_weights=config.qubit_weights
     )
+    encoder.formula.add_unit(selectors[optimum.weight])
     projection = encoder.all_string_variables()
     encodings = []
     for model in enumerate_models(

@@ -136,7 +136,6 @@ def _config_from_args(args) -> FermihedralConfig:
         budget=SolverBudget(
             max_conflicts=args.max_conflicts, time_budget_s=args.budget_s
         ),
-        incremental=not args.no_incremental,
         portfolio=args.portfolio or 1,
         jobs=getattr(args, "jobs_n", None) or 1,
         preprocess=not args.no_preprocess,
@@ -169,12 +168,6 @@ def _add_solver_options(parser: argparse.ArgumentParser) -> None:
                         help="race N diversified solver processes on every "
                              "SAT call; deterministic first-answer-wins "
                              "(default: 1, in-process)")
-    parser.add_argument("--no-incremental", action="store_true",
-                        help="rebuild the SAT instance at every descent "
-                             "bound instead of reusing one incremental "
-                             "instance with assumption-activated bounds "
-                             "(ignored with --portfolio > 1, which always "
-                             "races one persistent instance)")
     parser.add_argument("--no-preprocess", action="store_true",
                         help="solve the raw CNF instead of simplifying it "
                              "first (unit propagation, subsumption, bounded "

@@ -31,14 +31,14 @@ COMPILE_METHODS = (METHOD_INDEPENDENT, METHOD_FULL_SAT, METHOD_ANNEALING)
 #: optimality proofs are invariant.  ``proof`` is pure observation: it
 #: records what the solver did without changing a single decision.
 #: ``repro.store.fingerprint`` excludes them from cache keys so serial,
-#: incremental, portfolio, multi-process and preprocessed runs of one job
-#: all share a cache entry (sound because unproved results are warm-start
-#: seeds, never final hits).  ``deadline_s`` is execution-only for the
-#: same reason a time budget would be: it decides when a run stops
-#: tightening, never what the optimum is, and a deadline-degraded result
-#: is unproved, so it stays a warm-start seed rather than a final hit.
+#: portfolio, multi-process and preprocessed runs of one job all share a
+#: cache entry (sound because unproved results are warm-start seeds, never
+#: final hits).  ``deadline_s`` is execution-only for the same reason a
+#: time budget would be: it decides when a run stops tightening, never
+#: what the optimum is, and a deadline-degraded result is unproved, so it
+#: stays a warm-start seed rather than a final hit.
 EXECUTION_ONLY_FIELDS = (
-    "incremental", "portfolio", "jobs", "preprocess", "proof", "deadline_s",
+    "portfolio", "jobs", "preprocess", "proof", "deadline_s",
 )
 
 
@@ -54,6 +54,12 @@ class SolverBudget:
 
     max_conflicts: int | None = None
     time_budget_s: float | None = None
+
+    def __post_init__(self):
+        if self.max_conflicts is not None and self.max_conflicts < 0:
+            raise ValueError("max_conflicts must be non-negative (or None)")
+        if self.time_budget_s is not None and not self.time_budget_s > 0:
+            raise ValueError("time_budget_s must be positive (or None)")
 
 
 # repro-lint: worker-shipped
@@ -93,11 +99,6 @@ class FermihedralConfig:
             :func:`repro.hardware.cost.connectivity_weights`; ``None``
             keeps the paper's uniform objective.  Length must equal the
             mode count of the job using this config.
-        incremental: solve the descent ladder on one incremental SAT
-            instance — the weight bound becomes a per-call assumption and
-            learned clauses survive from one rung to the next — instead
-            of rebuilding the CNF from scratch at every bound.  Identical
-            optima either way; ``False`` restores the cold-start loop.
         portfolio: number of diversified solver processes racing each SAT
             call (:mod:`repro.parallel.portfolio`).  ``1`` solves
             in-process with the reference configuration.
@@ -105,8 +106,8 @@ class FermihedralConfig:
             this config (:mod:`repro.parallel.executor`); ``1`` is serial.
         preprocess: simplify the CNF (:mod:`repro.sat.preprocess` — unit
             propagation, subsumption, bounded variable elimination) before
-            building the incremental descent solver and every portfolio
-            worker.  Encoding variables and ladder selectors are frozen,
+            building the descent solver and every portfolio worker.
+            Encoding variables and ladder selectors are frozen,
             and SAT models are reconstructed onto the original variables,
             so decoded encodings, achieved weights and optimality proofs
             are unchanged; only solve time drops.  ``False``
@@ -126,8 +127,8 @@ class FermihedralConfig:
             never an error — with the bound it was still chasing recorded
             as ``target_bound``.
 
-        ``incremental``, ``portfolio``, ``jobs``, ``preprocess``,
-        ``proof`` and ``deadline_s`` are execution-strategy knobs
+        ``portfolio``, ``jobs``, ``preprocess``, ``proof`` and
+        ``deadline_s`` are execution-strategy knobs
         (:data:`EXECUTION_ONLY_FIELDS`): with enough budget they change
         only how fast the run reaches the same weight and proof (under an
         exhausted budget, more parallelism can only answer more, never
@@ -144,7 +145,6 @@ class FermihedralConfig:
     max_repairs: int = 32
     strategy: str = "linear"
     qubit_weights: tuple[int, ...] | None = None
-    incremental: bool = True
     portfolio: int = 1
     jobs: int = 1
     preprocess: bool = True
@@ -179,7 +179,6 @@ class FermihedralConfig:
         self,
         portfolio: int | None = None,
         jobs: int | None = None,
-        incremental: bool | None = None,
         preprocess: bool | None = None,
         proof: bool | None = None,
     ) -> "FermihedralConfig":
@@ -189,7 +188,6 @@ class FermihedralConfig:
             self,
             portfolio=self.portfolio if portfolio is None else portfolio,
             jobs=self.jobs if jobs is None else jobs,
-            incremental=self.incremental if incremental is None else incremental,
             preprocess=self.preprocess if preprocess is None else preprocess,
             proof=self.proof if proof is None else proof,
         )

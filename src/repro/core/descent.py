@@ -12,14 +12,11 @@ encoding is found by iterated bound tightening.  Two strategies:
   one) and the best model found.  Fewer SAT calls when the baseline starts
   far above the optimum; each call may be harder.
 
-Either strategy runs on one of two engines.  The default incremental
-engine builds the CNF and a shared cardinality ladder once and answers
-each bound with a one-literal assumption on a persistent solver (learned
-clauses survive between rungs); ``config.incremental = False`` restores
-the cold-start loop that rebuilds the instance per bound, and
-``config.portfolio > 1`` races the persistent instance across
-diversified worker processes.  The engines visit the same bound/status
-trajectory and return the same optima.
+Either strategy runs on one engine: it builds the CNF and a shared
+totalizer ladder once and answers each bound with a one-literal
+assumption on a persistent solver, so learned clauses survive between
+rungs.  ``config.portfolio > 1`` races that persistent instance across
+diversified worker processes.
 
 Neither ``config.algebraic_independence`` setting emits the power-set
 algebraic-independence family of Section 3.4: ``2N`` pairwise-
@@ -129,8 +126,7 @@ class DescentResult:
     #: Always 0, like :attr:`DescentStep.repairs`.
     repairs: int = 0
     strategy: str = LINEAR
-    #: One-time CNF simplification cost (0.0 when preprocessing is off or
-    #: the engine is the cold loop, which never preprocesses).
+    #: One-time CNF simplification cost (0.0 when preprocessing is off).
     preprocess_time_s: float = 0.0
     #: DRAT certificate of the final UNSAT rung (``config.proof`` on and
     #: the descent reached an UNSAT answer); check it with
@@ -220,8 +216,9 @@ def build_base_formula(
     """Construct the weight-bound-free part of the SAT instance.
 
     Returns the encoder and the objective indicator literals; the descent
-    loops copy the formula once per bound and append only the cardinality
-    constraint.
+    appends one cardinality ladder over the indicators
+    (:meth:`FermihedralEncoder.weight_ladder`) and picks each bound by
+    assumption.
 
     The power-set family (:meth:`FermihedralEncoder.
     add_algebraic_independence`) is never emitted, whatever
@@ -274,98 +271,11 @@ def _checked_decode(
     return candidate
 
 
-class _BoundSolver:
-    """Answers "is there a valid encoding of weight <= bound?" with
-    warm-start phase bookkeeping.
-
-    Cold-start variant: every bound rebuilds the CNF (base formula copy +
-    a baked-in cardinality constraint) and a fresh solver.  Kept as the
-    ``config.incremental = False`` fallback and as the reference the
-    incremental engine is validated against.
-    """
-
-    def __init__(
-        self,
-        encoder: FermihedralEncoder,
-        indicators: list[int],
-        config: FermihedralConfig,
-        hamiltonian: FermionicHamiltonian | None,
-        phases: dict[int, bool] | None,
-        telemetry=None,
-    ):
-        self.encoder = encoder
-        self.indicators = indicators
-        self.config = config
-        self.hamiltonian = hamiltonian
-        self.phases = phases
-        self.telemetry = telemetry
-        self.engine_name = "cold"
-        self.solve_time_s = 0.0
-        self.last_unsat_trace = None
-
-    def prepare(self, max_bound: int) -> None:
-        """No setup needed: each bound builds its own instance."""
-
-    def close(self) -> None:
-        """No persistent resources to release."""
-
-    def solve_at(
-        self, bound: int, time_budget_s=_USE_CONFIG,
-    ) -> tuple[DescentStep, MajoranaEncoding | None]:
-        """One bound query on a freshly built instance.
-
-        ``time_budget_s`` overrides the config's per-call budget for this
-        rung (the descent passes the time left to its deadline).
-        """
-        if time_budget_s is _USE_CONFIG:
-            time_budget_s = self.config.budget.time_budget_s
-        working = self.encoder.formula.copy()
-        base_formula, self.encoder.formula = self.encoder.formula, working
-        self.encoder.add_weight_at_most(
-            self.indicators, bound, qubit_weights=self.config.qubit_weights
-        )
-        self.encoder.formula = base_formula
-
-        log = None
-        if self.config.proof:
-            from repro.sat.drat import ProofLog
-
-            log = ProofLog()
-        solver = CdclSolver(working, seed_phases=self.phases, proof=log,
-                            telemetry=self.telemetry)
-        result = solver.solve(
-            max_conflicts=self.config.budget.max_conflicts,
-            time_budget_s=time_budget_s,
-        )
-        self.solve_time_s += result.elapsed_s
-
-        if not result.is_sat:
-            if result.is_unsat and log is not None:
-                from repro.sat.drat import build_trace
-
-                # The cold loop bakes the bound into ``working``, so the
-                # trace is self-contained with no assumptions.
-                self.last_unsat_trace = build_trace(
-                    working, log, meta={"bound": bound, "engine": "cold"}
-                )
-            return _step_from_result(bound, result, None), None
-
-        candidate = _checked_decode(self.encoder, result.model, bound)
-        if self.config.warm_start:
-            self.phases = {
-                v: result.model[v] for v in self.encoder.all_string_variables()
-            }
-        achieved = measured_weight(
-            candidate, self.hamiltonian, self.config.qubit_weights
-        )
-        return _step_from_result(bound, result, achieved), candidate
-
-
 class _IncrementalBoundSolver:
-    """Assumption-based incremental variant of :class:`_BoundSolver`.
+    """Answers "is there a valid encoding of weight <= bound?" for every
+    rung of the descent, on one persistent SAT instance.
 
-    One persistent SAT instance answers every rung of the weight ladder:
-    :meth:`prepare` installs a shared cardinality counter wide enough for
+    :meth:`prepare` installs a shared cardinality ladder wide enough for
     the loosest bound the descent will ever ask about, and each
     :meth:`solve_at` call is then a single one-literal assumption against
     the same clause database.  Learned clauses, branching activities and
@@ -608,13 +518,9 @@ def descend(
     construct_time = time.monotonic() - construct_start
 
     phases = encoder.encoding_assignment(baseline) if config.warm_start else None
-    engine = (
-        _IncrementalBoundSolver
-        if (config.incremental or config.portfolio > 1)
-        else _BoundSolver
+    bound_solver = _IncrementalBoundSolver(
+        encoder, indicators, config, hamiltonian, phases, telemetry=telemetry
     )
-    bound_solver = engine(encoder, indicators, config, hamiltonian, phases,
-                          telemetry=telemetry)
 
     best_encoding = baseline
     best_weight = measured_weight(baseline, hamiltonian, config.qubit_weights)
@@ -811,7 +717,7 @@ def descend(
         construct_time_s=construct_time,
         solve_time_s=prior_solve_time + bound_solver.solve_time_s,
         strategy=config.strategy,
-        preprocess_time_s=getattr(bound_solver, "preprocess_time_s", 0.0),
+        preprocess_time_s=bound_solver.preprocess_time_s,
         proof_trace=bound_solver.last_unsat_trace,
         degraded=deadline_hit,
         target_bound=target_bound,

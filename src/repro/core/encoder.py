@@ -22,7 +22,7 @@ The encoder emits, on demand:
   oracle;
 * vacuum-state preservation via X/Y pair witnesses (Section 3.5);
 * Hamiltonian-independent or Hamiltonian-dependent weight bounds through a
-  sequential-counter cardinality constraint (Sections 3.6/3.7).
+  totalizer cardinality ladder (Sections 3.6/3.7).
 """
 
 from __future__ import annotations
@@ -30,14 +30,8 @@ from __future__ import annotations
 from repro.encodings.base import MajoranaEncoding
 from repro.fermion.hamiltonians import FermionicHamiltonian
 from repro.paulis.strings import PauliString
-from repro.sat.cardinality import (
-    add_at_most_k,
-    add_at_most_k_weighted,
-    add_at_most_ladder,
-    predict_sequential_ladder,
-)
 from repro.sat.cnf import CnfFormula
-from repro.sat.totalizer import add_totalizer_ladder, predict_totalizer_ladder
+from repro.sat.totalizer import add_totalizer_ladder
 from repro.sat.tseitin import encode_and, encode_or, encode_xor, encode_xor_many
 
 #: Operator truth table of the paper's Eq. 7: label -> (bit1, bit2).
@@ -287,63 +281,28 @@ class FermihedralEncoder:
                 indicators.append(encode_or(formula, bit1, bit2))
         return indicators
 
-    def add_weight_at_most(
-        self,
-        indicators: list[int],
-        bound: int,
-        qubit_weights: "tuple[int, ...] | None" = None,
-    ) -> None:
-        """Cardinality constraint on the weight objective.
-
-        Uniform (``qubit_weights is None``): ``sum(indicators) <= bound``.
-        Connectivity-weighted: indicator ``i`` belongs to qubit
-        ``i % num_modes`` (both indicator families enumerate qubits
-        innermost), and the constraint becomes
-        ``sum(qubit_weights[i % N] * indicators[i]) <= bound`` — the
-        hardware-aware objective of :mod:`repro.hardware.cost`.
-        """
-        if qubit_weights is None:
-            add_at_most_k(self.formula, indicators, bound)
-            return
-        if len(qubit_weights) != self.num_modes:
-            raise ValueError(
-                f"qubit_weights has {len(qubit_weights)} entries, encoder has "
-                f"{self.num_modes} qubits"
-            )
-        if len(indicators) % self.num_modes != 0:
-            raise ValueError(
-                "indicator count is not a multiple of the qubit count"
-            )
-        weights = [
-            qubit_weights[index % self.num_modes]
-            for index in range(len(indicators))
-        ]
-        add_at_most_k_weighted(self.formula, indicators, weights, bound)
-
     def weight_ladder(
         self,
         indicators: list[int],
         max_bound: int,
         qubit_weights: "tuple[int, ...] | None" = None,
-        encoding: str = "auto",
     ) -> list[int]:
-        """Assumption-activated weight bounds for incremental descent.
+        """Assumption-activated weight bounds for the descent.
 
-        Builds one shared cardinality counter over the objective
-        indicators (weighted exactly as :meth:`add_weight_at_most` would
-        weight them) and returns ``selectors`` where assuming
-        ``selectors[b]`` enforces objective ``<= b``, for every
-        ``b in 0..max_bound``.  The descent ladder then re-solves a single
-        CNF with a different one-literal assumption per rung instead of
-        rebuilding the instance.
+        Builds one shared totalizer (:func:`repro.sat.totalizer.
+        add_totalizer_ladder`) over the objective indicators and returns
+        ``selectors`` where assuming ``selectors[b]`` enforces objective
+        ``<= b``, for every ``b in 0..max_bound``.  The descent ladder
+        then re-solves a single CNF with a different one-literal
+        assumption per rung instead of rebuilding the instance; a fixed
+        bound is ``formula.add_unit(selectors[b])``.
 
-        ``encoding`` picks the counter: ``"sequential"`` (Sinz),
-        ``"totalizer"`` (Bailleux-Boutobza merge tree), or ``"auto"``
-        (default) which compares the exact predicted clause counts of the
-        two — :func:`repro.sat.cardinality.predict_sequential_ladder` vs
-        :func:`repro.sat.totalizer.predict_totalizer_ladder` — and emits
-        the smaller.  Both honour the identical selector contract, so the
-        choice is invisible to descent.
+        Uniform (``qubit_weights is None``): objective
+        ``sum(indicators)``.  Connectivity-weighted: indicator ``i``
+        belongs to qubit ``i % num_modes`` (both indicator families
+        enumerate qubits innermost), and the objective becomes
+        ``sum(qubit_weights[i % N] * indicators[i])`` — the
+        hardware-aware objective of :mod:`repro.hardware.cost`.
         """
         if qubit_weights is None:
             literals = list(indicators)
@@ -357,27 +316,16 @@ class FermihedralEncoder:
                 raise ValueError(
                     "indicator count is not a multiple of the qubit count"
                 )
+            if any(weight < 0 for weight in qubit_weights):
+                raise ValueError("qubit_weights must be non-negative")
             # Weighted counting = each literal repeated ``weight`` times in
-            # the shared counter, mirroring ``add_at_most_k_weighted``.
+            # the shared counter.
             literals = [
                 literal
                 for index, literal in enumerate(indicators)
                 for _ in range(qubit_weights[index % self.num_modes])
             ]
-        if encoding == "auto":
-            _, sequential_clauses = predict_sequential_ladder(len(literals), max_bound)
-            _, totalizer_clauses = predict_totalizer_ladder(len(literals), max_bound)
-            encoding = (
-                "totalizer" if totalizer_clauses < sequential_clauses else "sequential"
-            )
-        if encoding == "sequential":
-            return add_at_most_ladder(self.formula, literals, max_bound)
-        if encoding == "totalizer":
-            return add_totalizer_ladder(self.formula, literals, max_bound)
-        raise ValueError(
-            f"unknown ladder encoding {encoding!r}; "
-            "expected 'auto', 'sequential' or 'totalizer'"
-        )
+        return add_totalizer_ladder(self.formula, literals, max_bound)
 
     # -- model decoding -------------------------------------------------------------------------
 

@@ -1,14 +1,7 @@
-"""SAT substrate: CNF construction, Tseitin gadgets, cardinality encodings
-(sequential counter and totalizer), SatELite-style preprocessing, the
-flattened CDCL solver, and DRAT proof logging/checking."""
+"""SAT substrate: CNF construction, Tseitin gadgets, the totalizer
+cardinality ladder, SatELite-style preprocessing, the flattened CDCL
+solver, and DRAT proof logging/checking."""
 
-from repro.sat.cardinality import (
-    add_at_most_k,
-    add_at_most_k_weighted,
-    add_at_most_ladder,
-    add_weighted_ladder,
-    predict_sequential_ladder,
-)
 from repro.sat.cnf import CnfFormula, evaluate_clause, evaluate_formula
 from repro.sat.dpll import dpll_solve
 from repro.sat.drat import (
@@ -33,11 +26,7 @@ from repro.sat.solver import (
     luby,
     solve_formula,
 )
-from repro.sat.totalizer import (
-    add_totalizer_at_most_k,
-    add_totalizer_ladder,
-    predict_totalizer_ladder,
-)
+from repro.sat.totalizer import add_totalizer_ladder
 from repro.sat.tseitin import (
     assert_or_true,
     assert_xor_true,
@@ -61,12 +50,7 @@ __all__ = [
     "ProofTrace",
     "SolveResult",
     "SolverStats",
-    "add_at_most_k",
-    "add_at_most_k_weighted",
-    "add_at_most_ladder",
-    "add_totalizer_at_most_k",
     "add_totalizer_ladder",
-    "add_weighted_ladder",
     "assert_or_true",
     "assert_xor_true",
     "build_trace",
@@ -83,8 +67,6 @@ __all__ = [
     "evaluate_formula",
     "luby",
     "parse_drat",
-    "predict_sequential_ladder",
-    "predict_totalizer_ladder",
     "preprocess",
     "serialize_drat",
     "solve_formula",

@@ -1,26 +1,23 @@
 """Totalizer cardinality encoding (Bailleux & Boutobza 2003).
 
-The sequential counter of :mod:`repro.sat.cardinality` spends
-``O(n · k)`` variables on ``sum(literals) <= k``.  The totalizer builds a
-balanced merge tree instead: each node carries a unary counter of its
-subtree's true-literal count, truncated at ``k + 1`` (counts beyond the
-bound saturate — their exact value can never matter).  For small bounds
-over many literals this is substantially smaller, and unit propagation is
-just as strong (the encoding is arc-consistent for at-most-k).
+The weight bound of the descent (Sections 3.6/3.7) is ``sum(literals) <=
+b``.  The totalizer builds a balanced merge tree over the literals: each
+node carries a unary counter of its subtree's true-literal count,
+truncated at ``k + 1`` (counts beyond the bound saturate — their exact
+value can never matter).  The encoding is arc-consistent for
+at-most-k, so unit propagation is as strong as it can be, and the whole
+constraint stays within propositional logic, with no arithmetic theory
+solver.
 
 Only the "counts propagate upward" direction is emitted —
 ``(≥ i in left) ∧ (≥ j in right) → (≥ i+j here)`` — which is exactly what
 an upper bound needs: forbidding the root's ``≥ b+1`` output propagates
 down to block every way of exceeding ``b``.
 
-:func:`add_totalizer_ladder` mirrors the selector contract of
-:func:`repro.sat.cardinality.add_at_most_ladder`: one shared counter,
-no baked-in bound, and a selector literal per bound ``b`` whose
-assumption enforces ``sum <= b`` — the incremental-descent idiom.
-:func:`repro.core.encoder.FermihedralEncoder.weight_ladder` chooses
-between the two encodings by predicted clause count
-(:func:`predict_totalizer_ladder` vs
-:func:`repro.sat.cardinality.predict_sequential_ladder`).
+:func:`add_totalizer_ladder` bakes in no bound: it returns a selector
+literal per bound ``b`` whose assumption enforces ``sum <= b`` — the
+incremental-descent idiom.  A fixed bound is the selector added as a
+unit clause.
 """
 
 from __future__ import annotations
@@ -28,45 +25,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.sat.cnf import CnfFormula
-
-
-def _merge_pair_count(left: int, right: int, cap: int) -> int:
-    """Number of clauses merging child counters of ``left``/``right``
-    outputs under saturation cap ``cap``: pairs ``(i, j)`` with
-    ``0 <= i <= left``, ``0 <= j <= right`` and ``1 <= i + j <= cap``."""
-    total = 0
-    for i in range(0, min(left, cap) + 1):
-        total += min(right, cap - i) + 1
-    return total - 1  # (0, 0) is not a clause
-
-
-def predict_totalizer_ladder(count: int, max_bound: int) -> tuple[int, int]:
-    """Exact ``(auxiliary_variables, clauses)`` of the totalizer ladder.
-
-    Simulates the merge schedule of :func:`add_totalizer_ladder` without
-    allocating anything, so the encoding chooser can compare costs first.
-    """
-    if count == 0:
-        return (1, 1) if max_bound >= 0 else (0, 0)
-    cap = min(max_bound + 1, count)
-    if cap == 0:
-        # max_bound == -1 is rejected by the builders; unreachable.
-        return (0, 0)
-    variables = 1 if max_bound + 1 > count else 0  # tautology literal
-    clauses = variables
-    sizes = [1] * count
-    while len(sizes) > 1:
-        merged: list[int] = []
-        for index in range(0, len(sizes) - 1, 2):
-            left, right = sizes[index], sizes[index + 1]
-            output = min(left + right, cap)
-            variables += output
-            clauses += _merge_pair_count(left, right, cap)
-            merged.append(output)
-        if len(sizes) % 2:
-            merged.append(sizes[-1])
-        sizes = merged
-    return variables, clauses
 
 
 def _build_tree(
@@ -108,8 +66,8 @@ def add_totalizer_ladder(
     returns ``selectors`` of length ``max_bound + 1``: assuming
     ``selectors[b]`` (or adding it as a unit) enforces
     ``sum(literals) <= b``.  Bounds ``b >= len(literals)`` are vacuous
-    and share a fresh always-true literal, exactly like
-    :func:`repro.sat.cardinality.add_at_most_ladder`.
+    and share a fresh always-true literal, so callers can index
+    ``selectors`` uniformly.
     """
     count = len(literals)
     if max_bound < 0:
@@ -128,23 +86,3 @@ def add_totalizer_ladder(
     selectors.extend([tautology] * (max_bound + 1 - width))
     return selectors
 
-
-def add_totalizer_at_most_k(
-    formula: CnfFormula, literals: Sequence[int], bound: int
-) -> None:
-    """Constrain at most ``bound`` of ``literals`` to be true (totalizer).
-
-    Drop-in alternative to :func:`repro.sat.cardinality.add_at_most_k`
-    with the same edge-case semantics.
-    """
-    count = len(literals)
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    if bound >= count:
-        return
-    if bound == 0:
-        for literal in literals:
-            formula.add_unit(-literal)
-        return
-    outputs = _build_tree(formula, literals, cap=bound + 1)
-    formula.add_unit(-outputs[bound])

@@ -25,6 +25,7 @@ CLI renders as a live per-job status line.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -117,6 +118,8 @@ def config_from_spec(
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{name!r} must be a number, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name!r} must be finite, got {value!r}")
     if data.get("max_conflicts") is not None:
         data = {**data, "max_conflicts": int(data["max_conflicts"])}
     budget = base.budget

@@ -72,8 +72,8 @@ class TestFailClosed:
     """A dependent SAT model means an encoder or solver defect: the descent
     raises instead of returning it or blocking it and retrying."""
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_dependent_model_raises(self, monkeypatch, incremental):
+    @pytest.mark.parametrize("preprocess", [True, False])
+    def test_dependent_model_raises(self, monkeypatch, preprocess):
         def defective_decode(self, model, validate=False):
             x = PauliString.from_label("XI")
             y = PauliString.from_label("YI")
@@ -81,7 +81,7 @@ class TestFailClosed:
 
         monkeypatch.setattr(FermihedralEncoder, "decode", defective_decode)
         config = FermihedralConfig(
-            incremental=incremental, budget=SolverBudget(time_budget_s=30)
+            preprocess=preprocess, budget=SolverBudget(time_budget_s=30)
         )
         with pytest.raises(DependentModelError) as caught:
             descend(2, config)

@@ -124,7 +124,7 @@ class TestWeights:
         encoder.add_anticommutativity()
         encoder.add_algebraic_independence()
         indicators = encoder.majorana_weight_indicators()
-        encoder.add_weight_at_most(indicators, 6)
+        encoder.formula.add_unit(encoder.weight_ladder(indicators, 6)[6])
         decoded = _solve_encoder(encoder)
         assert decoded.total_majorana_weight <= 6
 
@@ -134,7 +134,7 @@ class TestWeights:
         encoder.add_anticommutativity()
         encoder.add_algebraic_independence()
         indicators = encoder.majorana_weight_indicators()
-        encoder.add_weight_at_most(indicators, 5)
+        encoder.formula.add_unit(encoder.weight_ladder(indicators, 5)[5])
         assert solve_formula(encoder.formula).is_unsat
 
     def test_hamiltonian_indicators(self):

@@ -13,15 +13,16 @@ import random
 
 import pytest
 
-from repro.core import FermihedralEncoder
+from repro.core import FermihedralEncoder, measured_weight
 from repro.core.encoder import OPERATOR_BITS
 from repro.encodings import MajoranaEncoding
+from repro.fermion import tv_chain
 from repro.paulis import (
     PauliString,
     are_algebraically_independent,
     pairwise_anticommuting,
 )
-from repro.sat import solve_formula
+from repro.sat import CdclSolver, solve_formula
 
 _OPERATORS = "IXYZ"
 
@@ -46,6 +47,21 @@ def _ground_truth_vacuum_witness(strings, num_modes: int) -> bool:
         ):
             return False
     return True
+
+
+def _objective(encoding, hamiltonian, qubit_weights) -> int:
+    """The objective the weight indicators count, term by term.
+
+    ``measured_weight`` merges equal images of distinct monomials.  That
+    happens only when the strings are dependent, never on a valid
+    encoding, so there the two agree.
+    """
+    if hamiltonian is None:
+        return measured_weight(encoding, None, qubit_weights)
+    return sum(
+        encoding.monomial_image(monomial)[0].weight
+        for monomial in hamiltonian.monomials
+    )
 
 
 def _all_one_mode_assignments():
@@ -153,6 +169,8 @@ class TestTwoModeSampled:
             assert solve_formula(encoder.formula).is_sat == expected, labels
 
     def test_weight_bound_sampled(self, assignments):
+        """A fixed bound, the ladder's selector added as a unit clause,
+        admits a pinned assignment exactly when its weight fits."""
         for labels in assignments[:40]:
             strings = _strings_from_assignment(2, labels)
             total = sum(s.weight for s in strings)
@@ -161,9 +179,32 @@ class TestTwoModeSampled:
                     continue
                 encoder = FermihedralEncoder(2)
                 indicators = encoder.majorana_weight_indicators()
-                encoder.add_weight_at_most(indicators, bound)
+                selectors = encoder.weight_ladder(indicators, bound)
+                encoder.formula.add_unit(selectors[bound])
                 _pin_assignment(encoder, strings)
                 expected = total <= bound
                 assert solve_formula(encoder.formula).is_sat == expected, (
                     labels, bound,
                 )
+
+    @pytest.mark.parametrize("objective", ["uniform", "weighted", "hamiltonian"])
+    def test_ladder_matches_objective(self, assignments, objective):
+        """Assuming ``selectors[b]`` on a pinned assignment is SAT exactly
+        when its objective is at most ``b``."""
+        qubit_weights = (1, 2) if objective == "weighted" else None
+        hamiltonian = tv_chain(2) if objective == "hamiltonian" else None
+        for labels in assignments:
+            strings = _strings_from_assignment(2, labels)
+            encoding = MajoranaEncoding(strings, validate=False)
+            total = _objective(encoding, hamiltonian, qubit_weights)
+            encoder = FermihedralEncoder(2)
+            if hamiltonian is None:
+                indicators = encoder.majorana_weight_indicators()
+            else:
+                indicators = encoder.hamiltonian_weight_indicators(hamiltonian)
+            selectors = encoder.weight_ladder(indicators, total + 1, qubit_weights)
+            _pin_assignment(encoder, strings)
+            solver = CdclSolver(encoder.formula)
+            for bound in range(max(total - 1, 0), total + 2):
+                result = solver.solve(assumptions=[selectors[bound]])
+                assert result.is_sat == (total <= bound), (labels, bound)

@@ -2,10 +2,9 @@
 
 The tentpole property: a ``proof=True`` run whose descent proves
 optimality yields a :class:`repro.sat.drat.ProofTrace` that the
-independent checker accepts — for every descent engine (cold and
-incremental, with and without preprocessing, linear and bisection,
-portfolio racing) — and the compiler/cache layers carry the artifact
-without perturbing fingerprints.
+independent checker accepts — with and without preprocessing, linear
+and bisection, in-process and portfolio racing — and the compiler/cache
+layers carry the artifact without perturbing fingerprints.
 """
 
 from __future__ import annotations
@@ -33,17 +32,15 @@ def _proof_config(**overrides) -> FermihedralConfig:
 
 
 class TestDescentEngines:
-    @pytest.mark.parametrize("incremental", [True, False])
     @pytest.mark.parametrize("preprocess", [True, False])
-    def test_every_engine_emits_a_checkable_trace(self, incremental, preprocess):
-        config = _proof_config(incremental=incremental, preprocess=preprocess)
+    def test_every_engine_emits_a_checkable_trace(self, preprocess):
+        config = _proof_config(preprocess=preprocess)
         result = descend(2, config=config)
         assert result.proved_optimal
         assert result.proof_trace is not None
         verdict = check_trace(result.proof_trace)
         assert verdict.ok, verdict.reason
-        engine = "incremental" if incremental else "cold"
-        assert result.proof_trace.meta["engine"] == engine
+        assert result.proof_trace.meta["engine"] == "incremental"
         # The certified bound is the last refuted rung: optimum - 1.
         assert result.proof_trace.meta["bound"] == result.weight - 1
 

@@ -8,8 +8,7 @@ import pytest
 from repro.sat import (
     CdclSolver,
     CnfFormula,
-    add_at_most_ladder,
-    add_weighted_ladder,
+    add_totalizer_ladder,
     dpll_solve,
     enumerate_models,
     evaluate_formula,
@@ -184,7 +183,7 @@ class TestLadder:
             formula = CnfFormula()
             literals = formula.new_variables(count)
             max_bound = rng.randint(0, count + 1)
-            selectors = add_at_most_ladder(formula, literals, max_bound)
+            selectors = add_totalizer_ladder(formula, literals, max_bound)
             assert len(selectors) == max_bound + 1
             forced = [v for v in literals if rng.random() < 0.5]
             solver = CdclSolver(formula)
@@ -197,22 +196,34 @@ class TestLadder:
     def test_ladder_descends_like_fresh_constraints(self):
         """Tightening the assumed bound on one instance finds the same
         SAT/UNSAT frontier as rebuilding the formula per bound."""
-        formula = CnfFormula()
-        literals = formula.new_variables(6)
-        formula.add_clause(literals[:3])  # at least one of the first three
-        formula.add_clause(literals[3:])  # and one of the last three
-        selectors = add_at_most_ladder(formula, literals, 6)
+
+        def build():
+            formula = CnfFormula()
+            literals = formula.new_variables(6)
+            formula.add_clause(literals[:3])  # at least one of the first three
+            formula.add_clause(literals[3:])  # and one of the last three
+            return formula, add_totalizer_ladder(formula, literals, 6)
+
+        formula, selectors = build()
         solver = CdclSolver(formula)
         statuses = [
             solver.solve(assumptions=[selectors[b]]).status for b in range(6, -1, -1)
         ]
         assert statuses == ["SAT"] * 5 + ["UNSAT", "UNSAT"]
+        fresh = []
+        for bound in range(6, -1, -1):
+            formula, selectors = build()
+            formula.add_unit(selectors[bound])
+            fresh.append(CdclSolver(formula).solve().status)
+        assert fresh == statuses
 
     def test_weighted_ladder(self):
-        formula = CnfFormula()
-        a, b = formula.new_variables(2)
-        selectors = add_weighted_ladder(formula, [a, b], [2, 3], 5)
-        solver = CdclSolver(formula)
+        from repro.core import FermihedralEncoder
+
+        encoder = FermihedralEncoder(2)
+        a, b = encoder.formula.new_variables(2)
+        selectors = encoder.weight_ladder([a, b], 5, (2, 3))
+        solver = CdclSolver(encoder.formula)
         for bound in range(6):
             result = solver.solve(assumptions=[selectors[bound], a, b])
             assert result.is_sat == (bound >= 5)
@@ -224,7 +235,7 @@ class TestLadder:
     def test_vacuous_bounds_are_tautological(self):
         formula = CnfFormula()
         a, b = formula.new_variables(2)
-        selectors = add_at_most_ladder(formula, [a, b], 4)
+        selectors = add_totalizer_ladder(formula, [a, b], 4)
         solver = CdclSolver(formula)
         result = solver.solve(assumptions=[selectors[4], a, b])
         assert result.is_sat
@@ -233,4 +244,4 @@ class TestLadder:
         formula = CnfFormula()
         a = formula.new_variable()
         with pytest.raises(ValueError):
-            add_at_most_ladder(formula, [a], -1)
+            add_totalizer_ladder(formula, [a], -1)

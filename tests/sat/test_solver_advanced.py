@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.sat import (
     CnfFormula,
-    add_at_most_k,
+    add_totalizer_ladder,
     dpll_solve,
     encode_xor_many,
     evaluate_formula,
@@ -69,20 +69,20 @@ class TestCardinalityInteraction:
         rng = random.Random(seed)
         formula = CnfFormula()
         variables = formula.new_variables(n)
-        add_at_most_k(formula, variables, min(k, n))
+        bound = min(k, n)
+        formula.add_unit(add_totalizer_ladder(formula, variables, bound)[bound])
         forced = rng.sample(variables, rng.randint(0, n))
         for variable in forced:
             formula.add_unit(variable)
         result = solve_formula(formula)
-        expected_sat = len(forced) <= min(k, n)
-        assert result.is_sat == expected_sat
+        assert result.is_sat == (len(forced) <= bound)
         if result.is_sat:
-            assert sum(result.model[v] for v in variables) <= min(k, n)
+            assert sum(result.model[v] for v in variables) <= bound
 
     def test_exactly_boundary(self):
         formula = CnfFormula()
         variables = formula.new_variables(6)
-        add_at_most_k(formula, variables, 3)
+        formula.add_unit(add_totalizer_ladder(formula, variables, 3)[3])
         formula.add_clause(variables)  # at least one
         result = solve_formula(formula)
         assert result.is_sat

@@ -1,5 +1,5 @@
-"""Totalizer cardinality: bound semantics, ladder selector contract, size
-predictions, and agreement with the sequential counter."""
+"""Totalizer cardinality: fixed-bound semantics, the ladder selector
+contract, and the encoder's weight ladder built on it."""
 
 import itertools
 import random
@@ -8,16 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sat import (
-    CdclSolver,
-    CnfFormula,
-    add_at_most_ladder,
-    add_totalizer_at_most_k,
-    add_totalizer_ladder,
-    dpll_solve,
-    predict_sequential_ladder,
-    predict_totalizer_ladder,
-)
+from repro.sat import CdclSolver, CnfFormula, add_totalizer_ladder, dpll_solve
 
 
 class TestAtMostK:
@@ -27,14 +18,15 @@ class TestAtMostK:
         bits = [(assignment_bits >> i) & 1 == 1 for i in range(n)]
         formula = CnfFormula()
         inputs = formula.new_variables(n)
-        add_totalizer_at_most_k(formula, inputs, k)
+        selectors = add_totalizer_ladder(formula, inputs, k)
+        formula.add_unit(selectors[k])
         for variable, bit in zip(inputs, bits):
             formula.add_unit(variable if bit else -variable)
         assert dpll_solve(formula).is_sat == (sum(bits) <= k)
 
     def test_model_counts_match_sequential(self):
-        """Both encodings admit exactly the same projections onto the
-        input variables."""
+        """A fixed bound admits exactly the projections onto the inputs
+        that the sequential counter did: C(n, 0) + ... + C(n, k)."""
         from math import comb
 
         for n, k in ((3, 1), (4, 2), (5, 3)):
@@ -42,7 +34,7 @@ class TestAtMostK:
             for bits in itertools.product([False, True], repeat=n):
                 formula = CnfFormula()
                 inputs = formula.new_variables(n)
-                add_totalizer_at_most_k(formula, inputs, k)
+                formula.add_unit(add_totalizer_ladder(formula, inputs, k)[k])
                 for variable, bit in zip(inputs, bits):
                     formula.add_unit(variable if bit else -variable)
                 if dpll_solve(formula).is_sat:
@@ -50,15 +42,18 @@ class TestAtMostK:
             assert satisfiable == sum(comb(n, i) for i in range(k + 1))
 
     def test_bound_above_length_is_noop(self):
+        """Bounds of at least the literal count all select one literal
+        that the ladder already asserts, so fixing one adds nothing."""
         formula = CnfFormula()
         inputs = formula.new_variables(3)
-        add_totalizer_at_most_k(formula, inputs, 5)
-        assert formula.num_clauses == 0
+        selectors = add_totalizer_ladder(formula, inputs, 5)
+        assert selectors[3:] == [selectors[3]] * 3
+        assert [selectors[3]] in [list(c) for c in formula.clauses()]
 
     def test_bound_zero_forces_all_false(self):
         formula = CnfFormula()
         inputs = formula.new_variables(3)
-        add_totalizer_at_most_k(formula, inputs, 0)
+        formula.add_unit(add_totalizer_ladder(formula, inputs, 0)[0])
         result = dpll_solve(formula)
         assert result.is_sat
         assert not any(result.model[v] for v in inputs)
@@ -67,7 +62,7 @@ class TestAtMostK:
         formula = CnfFormula()
         inputs = formula.new_variables(2)
         with pytest.raises(ValueError):
-            add_totalizer_at_most_k(formula, inputs, -1)
+            add_totalizer_ladder(formula, inputs, -1)
 
 
 class TestLadder:
@@ -87,22 +82,6 @@ class TestLadder:
                 assert result.is_sat == (len(forced) <= bound)
                 if result.is_sat:
                     assert sum(result.model[v] for v in literals) <= bound
-
-    def test_same_selector_contract_as_sequential(self):
-        """Any descent loop built on one ladder runs unchanged on the
-        other: selectors enforce the same bounds."""
-        for builder in (add_at_most_ladder, add_totalizer_ladder):
-            formula = CnfFormula()
-            literals = formula.new_variables(6)
-            formula.add_clause(literals[:3])
-            formula.add_clause(literals[3:])
-            selectors = builder(formula, literals, 6)
-            solver = CdclSolver(formula)
-            statuses = [
-                solver.solve(assumptions=[selectors[b]]).status
-                for b in range(6, -1, -1)
-            ]
-            assert statuses == ["SAT"] * 5 + ["UNSAT", "UNSAT"]
 
     def test_vacuous_bounds_are_tautological(self):
         formula = CnfFormula()
@@ -126,58 +105,27 @@ class TestLadder:
             add_totalizer_ladder(formula, [a], -1)
 
 
-class TestPrediction:
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 40), st.integers(0, 30))
-    def test_totalizer_prediction_is_exact(self, count, max_bound):
-        formula = CnfFormula()
-        literals = formula.new_variables(count)
-        variables_before = formula.num_variables
-        clauses_before = formula.num_clauses
-        add_totalizer_ladder(formula, literals, max_bound)
-        predicted_vars, predicted_clauses = predict_totalizer_ladder(count, max_bound)
-        assert formula.num_variables - variables_before == predicted_vars
-        assert formula.num_clauses - clauses_before == predicted_clauses
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 40), st.integers(0, 30))
-    def test_sequential_prediction_is_exact(self, count, max_bound):
-        formula = CnfFormula()
-        literals = formula.new_variables(count)
-        variables_before = formula.num_variables
-        clauses_before = formula.num_clauses
-        add_at_most_ladder(formula, literals, max_bound)
-        predicted_vars, predicted_clauses = predict_sequential_ladder(count, max_bound)
-        assert formula.num_variables - variables_before == predicted_vars
-        assert formula.num_clauses - clauses_before == predicted_clauses
-
-    def test_totalizer_wins_for_small_bounds_over_many_literals(self):
-        _, sequential = predict_sequential_ladder(72, 38)
-        _, totalizer = predict_totalizer_ladder(72, 38)
-        assert totalizer < sequential
-
-
 class TestEncoderChooser:
     def test_weight_ladder_encodings_agree(self):
+        """The encoder's ladder gives the same statuses whether a bound is
+        assumed on one instance or added as a unit to a fresh one."""
         from repro.core.encoder import FermihedralEncoder
 
-        statuses = {}
-        for encoding in ("sequential", "totalizer", "auto"):
+        def build():
             encoder = FermihedralEncoder(2)
             encoder.add_anticommutativity()
             indicators = encoder.majorana_weight_indicators()
-            selectors = encoder.weight_ladder(indicators, 8, encoding=encoding)
-            solver = CdclSolver(encoder.formula)
-            statuses[encoding] = [
-                solver.solve(assumptions=[selectors[b]]).status
-                for b in range(8, -1, -1)
-            ]
-        assert statuses["sequential"] == statuses["totalizer"] == statuses["auto"]
+            return encoder, encoder.weight_ladder(indicators, 8)
 
-    def test_unknown_encoding_rejected(self):
-        from repro.core.encoder import FermihedralEncoder
-
-        encoder = FermihedralEncoder(2)
-        indicators = encoder.majorana_weight_indicators()
-        with pytest.raises(ValueError):
-            encoder.weight_ladder(indicators, 4, encoding="unary")
+        encoder, selectors = build()
+        solver = CdclSolver(encoder.formula)
+        assumed = [
+            solver.solve(assumptions=[selectors[b]]).status for b in range(8, -1, -1)
+        ]
+        fixed = []
+        for bound in range(8, -1, -1):
+            encoder, selectors = build()
+            encoder.formula.add_unit(selectors[bound])
+            fixed.append(CdclSolver(encoder.formula).solve().status)
+        assert assumed == fixed
+        assert "SAT" in assumed and "UNSAT" in assumed

@@ -7,6 +7,8 @@ and production batch scripts use.
 
 import json
 import threading
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -96,6 +98,23 @@ class TestEndpoints:
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(spec)
             assert excinfo.value.status == 400, spec
+
+    def test_overflowing_budget_is_400(self, serve, fast_config):
+        """JSON's ``1e400`` parses to infinity; converting it to a conflict
+        count must be a 400 naming the field, not a dropped connection."""
+        client = serve(CompilationService(
+            default_config=fast_config, runner=_stub_runner
+        ))
+        body = (b'{"modes": 2, "method": "independent",'
+                b' "config": {"max_conflicts": 1e400}}')
+        request = urllib.request.Request(
+            client.base_url + "/jobs", data=body, method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10.0)
+        assert excinfo.value.code == 400
+        assert "max_conflicts" in json.loads(excinfo.value.read())["error"]
 
     def test_submit_poll_shutdown_cycle(self, serve, fast_config, tmp_path):
         """The acceptance-criteria cycle, over a real socket, with real

@@ -10,6 +10,7 @@ from repro.core import (
 )
 from repro.fermion import hubbard_chain
 from repro.store import BatchCompiler, CompilationCache, CompileJob
+from repro.store.batch import job_from_spec
 
 
 class TestCompileJob:
@@ -34,6 +35,16 @@ class TestCompileJob:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             CompileJob(method="psychic", num_modes=2)
+
+    @pytest.mark.parametrize("config", [
+        {"max_conflicts": float("inf")},  # what JSON's 1e400 parses to
+        {"max_conflicts": -5},
+        {"budget_s": -1},
+    ], ids=["infinite-conflicts", "negative-conflicts", "negative-budget"])
+    def test_bad_numeric_budgets_rejected(self, config):
+        spec = {"modes": 2, "method": METHOD_INDEPENDENT, "config": config}
+        with pytest.raises(ValueError):
+            job_from_spec(spec)
 
     def test_modes_and_display(self):
         job = CompileJob(method=METHOD_FULL_SAT, hamiltonian=hubbard_chain(2))
