@@ -427,13 +427,27 @@ def _write_proof_artifact(trace, path: str | Path) -> None:
     Path(path).write_text(json.dumps(trace.to_dict(), sort_keys=True) + "\n")
 
 
+def _unreadable_artifact(source: str) -> int:
+    print(f"artifact:        {source}")
+    print("verdict:         FAILED (artifact is corrupted or unreadable)")
+    return 1
+
+
 def cmd_verify_proof(args) -> int:
+    from repro.core.claims import check_claim, describe_claim
     from repro.sat.drat import ProofTrace, check_trace
 
     path = Path(args.artifact)
     if path.exists():
-        trace = ProofTrace.from_dict(json.loads(path.read_text()))
         source = str(path)
+        # Text that is not JSON at all is a usage error (exit 2, like any
+        # unreadable input file); JSON that is no proof artifact fails the
+        # verification itself.
+        data = json.loads(path.read_text())
+        try:
+            trace = ProofTrace.from_dict(data)
+        except ValueError:
+            return _unreadable_artifact(source)
         # Content-addressed file names double as integrity checks.
         stem = path.stem
         if len(stem) == 64 and all(c in "0123456789abcdef" for c in stem) \
@@ -459,10 +473,7 @@ def cmd_verify_proof(args) -> int:
         trace = cache.get_proof(matches[0])
         source = str(cache.proof_path(matches[0]))
         if trace is None:
-            print(f"artifact:        {source}")
-            print("verdict:         FAILED (artifact is corrupted or "
-                  "unreadable)")
-            return 1
+            return _unreadable_artifact(source)
     print(f"artifact:        {source}")
     print(f"sha256:          {trace.sha256()}")
     print(f"variables:       {trace.num_variables}")
@@ -472,6 +483,14 @@ def cmd_verify_proof(args) -> int:
     for key in ("bound", "engine"):
         if key in trace.meta:
             print(f"{key + ':':<17}{trace.meta[key]}")
+    if trace.claim is None:
+        print("claim:           unbound (format v1)")
+    else:
+        mismatch = check_claim(trace)
+        if mismatch is not None:
+            print(f"verdict:         FAILED (claim mismatch: {mismatch})")
+            return 1
+        print(f"claim:           {describe_claim(trace.claim)}")
     verdict = check_trace(trace)
     if verdict.ok:
         print(f"verdict:         OK ({verdict.checked_additions} additions "
@@ -1333,9 +1352,11 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-proof",
         help="re-check a DRAT optimality-proof artifact",
         description="Independently verify a proof artifact produced by "
-                    "'repro solve --proof': replay its DRAT derivation "
-                    "against the embedded CNF with a backward RUP/RAT "
-                    "checker that shares no code with the solver. Accepts "
+                    "'repro solve --proof': rebuild the CNF its claim "
+                    "names (format v2) and require the embedded one to "
+                    "match, then replay its DRAT derivation with a "
+                    "backward RUP/RAT checker that shares no code with "
+                    "the solver. Accepts "
                     "a file path or a (prefix of a) sha256 resolved "
                     "against the cache's proofs/ directory.",
     )

@@ -16,7 +16,11 @@ Either strategy runs on one engine: it builds the CNF and a shared
 totalizer ladder once and answers each bound with a one-literal
 assumption on a persistent solver, so learned clauses survive between
 rungs.  ``config.portfolio > 1`` races that persistent instance across
-diversified worker processes.
+diversified worker processes.  When every qubit weighs the same in the
+objective, the CNF also orders the qubit columns
+(:meth:`FermihedralEncoder.add_column_lex`), so the solver refutes one
+labelling of the qubits instead of up to ``N!``, and the warm-start
+encoding is relabelled into that order.
 
 Neither ``config.algebraic_independence`` setting emits the power-set
 algebraic-independence family of Section 3.4: ``2N`` pairwise-
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 
 from repro.core.checkpoint import CheckpointSink, DescentCheckpoint
 from repro.core.config import FermihedralConfig
-from repro.core.encoder import FermihedralEncoder
+from repro.core.encoder import FermihedralEncoder, column_lex_order
 from repro.encodings.base import MajoranaEncoding
 from repro.encodings.bravyi_kitaev import bravyi_kitaev
 from repro.encodings.serialization import encoding_to_dict, step_to_dict
@@ -247,6 +251,42 @@ def build_base_formula(
     return encoder, indicators
 
 
+#: The descent CNF orders the qubit columns (see :func:`build_instance`).
+SYMMETRY_COLUMN_LEX = "column-lex"
+#: The descent CNF keeps every qubit labelling.
+SYMMETRY_NONE = "none"
+
+
+def symmetry_for(qubit_weights: tuple[int, ...] | None) -> str:
+    """The symmetry breaking a descent under ``qubit_weights`` uses:
+    column-lex when every qubit weighs the same, none otherwise."""
+    if qubit_weights is None or len(set(qubit_weights)) <= 1:
+        return SYMMETRY_COLUMN_LEX
+    return SYMMETRY_NONE
+
+
+def build_instance(
+    num_modes: int,
+    config: FermihedralConfig,
+    hamiltonian: FermionicHamiltonian | None,
+    symmetry: str,
+) -> tuple[FermihedralEncoder, list[int]]:
+    """The descent's bound-free CNF: :func:`build_base_formula`, then the
+    column-lex comparators when ``symmetry`` is
+    :data:`SYMMETRY_COLUMN_LEX`.
+
+    The descent and the proof-claim checker
+    (:func:`repro.core.claims.rebuild_claim`) both build through here and
+    then append ``encoder.weight_ladder(indicators, max_bound,
+    config.qubit_weights)``, so a claim rebuilds the certified CNF
+    exactly.
+    """
+    encoder, indicators = build_base_formula(num_modes, config, hamiltonian)
+    if symmetry == SYMMETRY_COLUMN_LEX:
+        encoder.add_column_lex()
+    return encoder, indicators
+
+
 def _step_from_result(
     bound: int, result, achieved_weight: int | None,
 ) -> DescentStep:
@@ -306,6 +346,7 @@ class _IncrementalBoundSolver:
         hamiltonian: FermionicHamiltonian | None,
         phases: dict[int, bool] | None,
         telemetry=None,
+        claim: dict | None = None,
     ):
         self.encoder = encoder
         self.indicators = indicators
@@ -324,6 +365,7 @@ class _IncrementalBoundSolver:
         self._solver = None
         self._proof_log = None
         self._base_formula = None
+        self._claim = claim
 
     def prepare(self, max_bound: int) -> None:
         """Build the bound ladder and the persistent solver (idempotent).
@@ -333,9 +375,12 @@ class _IncrementalBoundSolver:
         """
         if self._selectors is not None:
             return
+        width = max(max_bound, 0)
         self._selectors = self.encoder.weight_ladder(
-            self.indicators, max(max_bound, 0), self.config.qubit_weights
+            self.indicators, width, self.config.qubit_weights
         )
+        if self._claim is not None:
+            self._claim = dict(self._claim, max_bound=width)
         formula = self.encoder.formula
         if self.config.proof:
             from repro.sat.drat import ProofLog
@@ -424,6 +469,8 @@ class _IncrementalBoundSolver:
                     self._proof_log,
                     assumptions=(selector,),
                     meta={"bound": bound, "engine": "incremental"},
+                    claim=(None if self._claim is None
+                           else dict(self._claim, bound=bound)),
                 )
             return _step_from_result(bound, result, None), None
 
@@ -461,7 +508,9 @@ def descend(
         hamiltonian: when given, optimize the Hamiltonian-dependent weight
             (Section 3.7); otherwise the Hamiltonian-independent objective.
         baseline: encoding supplying the starting bound and warm-start
-            phases; defaults to Bravyi-Kitaev, as in the paper.
+            phases; defaults to Bravyi-Kitaev, as in the paper.  Under
+            column-lex symmetry breaking its phases come from its
+            lex-sorted relabelling, which has the same weight.
         telemetry: optional :class:`repro.telemetry.Telemetry`; wraps the
             run in a ``descent`` span with one ``descent.rung`` child per
             SAT call (bound + engine + status attrs) and threads through
@@ -513,13 +562,28 @@ def descend(
                     prior_steps = []
                 prior_solve_time = resumed_cp.solve_time_s
 
+    symmetry = symmetry_for(config.qubit_weights)
     construct_start = time.monotonic()
-    encoder, indicators = build_base_formula(num_modes, config, hamiltonian)
+    encoder, indicators = build_instance(num_modes, config, hamiltonian,
+                                         symmetry)
     construct_time = time.monotonic() - construct_start
 
-    phases = encoder.encoding_assignment(baseline) if config.warm_start else None
+    phases = None
+    if config.warm_start:
+        seed = baseline
+        if symmetry == SYMMETRY_COLUMN_LEX:
+            # An unsorted baseline can violate the comparators, and then
+            # its phases steer the first rungs into conflicts.
+            seed = baseline.with_qubit_order(column_lex_order(baseline))
+        phases = encoder.encoding_assignment(seed)
+    claim = None
+    if config.proof:
+        from repro.core.claims import proof_claim
+
+        claim = proof_claim(num_modes, config, hamiltonian, symmetry)
     bound_solver = _IncrementalBoundSolver(
-        encoder, indicators, config, hamiltonian, phases, telemetry=telemetry
+        encoder, indicators, config, hamiltonian, phases, telemetry=telemetry,
+        claim=claim,
     )
 
     best_encoding = baseline

@@ -22,7 +22,10 @@ The encoder emits, on demand:
   oracle;
 * vacuum-state preservation via X/Y pair witnesses (Section 3.5);
 * Hamiltonian-independent or Hamiltonian-dependent weight bounds through a
-  totalizer cardinality ladder (Sections 3.6/3.7).
+  totalizer cardinality ladder (Sections 3.6/3.7);
+* column-lex symmetry breaking: the qubit columns in non-decreasing
+  lexicographic order, valid whenever every qubit weighs the same in the
+  objective (beyond the paper).
 """
 
 from __future__ import annotations
@@ -37,6 +40,29 @@ from repro.sat.tseitin import encode_and, encode_or, encode_xor, encode_xor_many
 #: Operator truth table of the paper's Eq. 7: label -> (bit1, bit2).
 OPERATOR_BITS = {"I": (0, 0), "X": (0, 1), "Y": (1, 0), "Z": (1, 1)}
 _BITS_TO_OPERATOR = {bits: label for label, bits in OPERATOR_BITS.items()}
+
+
+def add_lex_leq(formula: CnfFormula, left: list[int], right: list[int]) -> None:
+    """Assert ``left <=lex right`` over two equal-length variable lists,
+    most significant bit first.
+
+    A prefix-equality chain: one fresh variable ``eq`` per bit after the
+    first ("the vectors agree on every earlier bit").  While they agree,
+    ``(-eq, -x, y)`` forbids ``x > y`` at this bit, and
+    ``(-eq, x, y, eq')`` / ``(-eq, -x, -y, eq')`` carry the agreement on
+    past an equal bit.  The empty prefix always agrees, so the first
+    bit's clauses drop ``-eq``.
+    """
+    equal = None
+    for index, (x, y) in enumerate(zip(left, right)):
+        guard = () if equal is None else (-equal,)
+        formula.add_clause(guard + (-x, y))
+        if index == len(left) - 1:
+            break
+        following = formula.new_variable()
+        formula.add_clause(guard + (x, y, following))
+        formula.add_clause(guard + (-x, -y, following))
+        equal = following
 
 
 class FermihedralEncoder:
@@ -231,6 +257,38 @@ class FermihedralEncoder:
             cases.append(gate)
         formula.add_clause(cases)
 
+    # -- symmetry breaking ---------------------------------------------------------------
+
+    def column_variables(self, qubit: int) -> list[int]:
+        """The ``4N`` bits of one qubit column, most significant first:
+        ``bit1[k][qubit], bit2[k][qubit]`` for ``k = 0 .. 2N-1``."""
+        variables = []
+        for string_index in range(self.num_strings):
+            variables.append(self.bit1[string_index][qubit])
+            variables.append(self.bit2[string_index][qubit])
+        return variables
+
+    def add_column_lex(self) -> None:
+        """Order the qubit columns: ``col(q) <=lex col(q+1)`` for every
+        adjacent pair, so the search sees one labelling of the qubits
+        instead of up to ``N!``.
+
+        Each comparator is :func:`add_lex_leq` over the two columns.
+
+        Sound only when every qubit weighs the same in the objective.
+        Relabelling the qubits of an encoding then preserves pairwise
+        anticommutation, the X/Y vacuum witness (it only needs *some*
+        qubit), flip-mask equality and Y counts of the exact vacuum
+        constraint, and the weight of every Majorana string and of every
+        monomial image.  Sorting a model's columns therefore gives a
+        model of the same weight that satisfies the comparators, so
+        UNSAT at bound ``b`` with them is UNSAT without them: every
+        optimality proof still certifies the unrestricted bound.
+        """
+        for qubit in range(self.num_modes - 1):
+            add_lex_leq(self.formula, self.column_variables(qubit),
+                        self.column_variables(qubit + 1))
+
     # -- objectives (Sections 3.6 / 3.7) ---------------------------------------------------
 
     def _operator_weight_literal(self, string_index: int, qubit: int) -> int:
@@ -355,3 +413,19 @@ class FermihedralEncoder:
                 hints[self.bit1[string_index][qubit]] = bool(bit1)
                 hints[self.bit2[string_index][qubit]] = bool(bit2)
         return hints
+
+
+def column_lex_order(encoding: MajoranaEncoding) -> list[int]:
+    """The qubit order that sorts an encoding's columns the way
+    :meth:`FermihedralEncoder.add_column_lex` requires: ``order[j]`` is
+    the qubit that becomes qubit ``j`` (see
+    :meth:`MajoranaEncoding.with_qubit_order`)."""
+
+    def column(qubit: int) -> tuple[int, ...]:
+        return tuple(
+            bit
+            for string in encoding.strings
+            for bit in OPERATOR_BITS[string.operator(qubit)]
+        )
+
+    return sorted(range(encoding.num_qubits), key=column)

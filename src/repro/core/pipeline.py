@@ -49,7 +49,13 @@ from repro.core.config import (
     AnnealingSchedule,
     FermihedralConfig,
 )
-from repro.core.descent import DescentResult, descend, measured_weight
+from repro.core.descent import (
+    SYMMETRY_COLUMN_LEX,
+    DescentResult,
+    descend,
+    measured_weight,
+    symmetry_for,
+)
 from repro.core.verify import VerificationReport, verify_encoding
 from repro.encodings.base import MajoranaEncoding
 from repro.fermion.hamiltonians import FermionicHamiltonian
@@ -514,24 +520,33 @@ class FermihedralCompiler:
     ) -> CompilationResult:
         """Ground a fresh result in the target device (no-op without one).
 
-        The descent winner competes with the admissible textbook baselines
-        on routed two-qubit gate count — hardware-aware compilation never
-        returns an encoding that routes worse than a constructive one it
-        could have had for free.  ``weight`` is normalized to the plain
+        Under a uniform objective the descent winner's qubits are first
+        relabelled for the device
+        (:meth:`~repro.hardware.cost.HardwareCostModel.best_qubit_order`),
+        which changes neither its weight nor its proof.  It then competes
+        with the admissible textbook baselines on routed two-qubit gate
+        count — hardware-aware compilation never returns an encoding that
+        routes worse than a constructive one it could have had for free.  ``weight`` is normalized to the plain
         objective of whichever encoding wins, and the routed cost is
         attached.
         """
         if topology is None:
             return result
         model = HardwareCostModel(topology)
-        candidates = [result.encoding] + candidate_baselines(
+        placed = result.encoding
+        if symmetry_for(config.qubit_weights) == SYMMETRY_COLUMN_LEX:
+            # The descent returned its lex-leader labelling, arbitrary
+            # with respect to the device; choose one for it instead.
+            placed, _ = model.best_qubit_order(result.encoding, hamiltonian)
+        candidates = [placed] + candidate_baselines(
             self.num_modes, config.vacuum_preservation
         )
         best, cost = model.best_encoding(candidates, hamiltonian)
         if best is not result.encoding:
             result.encoding = _as_fermihedral(best)
-            result.proved_optimal = False
             result.verification = None
+            if best is not placed:
+                result.proved_optimal = False
         result.weight = measured_weight(result.encoding, hamiltonian)
         result.device = topology.name
         result.hardware = cost

@@ -179,6 +179,26 @@ class MajoranaEncoding:
         order[first], order[second] = order[second], order[first]
         return self.with_mode_order(order)
 
+    def with_qubit_order(self, order) -> "MajoranaEncoding":
+        """Relabel the qubits: ``order[j]`` names which original qubit
+        becomes qubit ``j``.
+
+        Every string is permuted the same way, so anticommutation, vacuum
+        preservation and every string and monomial weight are unchanged.
+        """
+        order = list(order)
+        if sorted(order) != list(range(self.num_qubits)):
+            raise EncodingError("order must be a permutation of the qubits")
+        relabelled = [
+            PauliString.from_operators(self.num_qubits, {
+                target: string.operator(source)
+                for target, source in enumerate(order)
+                if string.operator(source) != "I"
+            })
+            for string in self.strings
+        ]
+        return MajoranaEncoding(relabelled, name=self.name, validate=False)
+
     def __repr__(self) -> str:
         labels = ", ".join(string.label() for string in self.strings)
         return f"MajoranaEncoding({self.name!r}, [{labels}])"

@@ -42,8 +42,10 @@ from typing import Iterable, Sequence
 
 from repro.sat.cnf import CnfFormula
 
-#: Bumped if the artifact JSON layout changes incompatibly.
-PROOF_FORMAT_VERSION = 1
+#: Format of artifacts that carry a :attr:`ProofTrace.claim`.  Version 1
+#: artifacts (no claim) still read, check and keep their content address.
+PROOF_FORMAT_VERSION = 2
+_UNBOUND_FORMAT_VERSION = 1
 
 
 class ProofLog:
@@ -133,6 +135,11 @@ class ProofTrace:
     module docs); ``proof`` is the DRAT line stream ending in the empty
     clause.  ``meta`` carries human-facing context (bound, instance)
     and does not affect checking.
+
+    ``claim`` (format v2) names what the refutation certifies, in plain
+    JSON data, so a reader can rebuild the CNF from it and compare (see
+    :mod:`repro.core.claims`).  It is part of the content address.  A
+    trace without one is written, and reads back, as format v1.
     """
 
     num_variables: int
@@ -141,10 +148,14 @@ class ProofTrace:
     axioms: tuple[tuple[int, ...], ...] = ()
     proof: str = ""
     meta: dict = dataclasses.field(default_factory=dict)
+    claim: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "proof_format_version": PROOF_FORMAT_VERSION,
+        data = {
+            "proof_format_version": (
+                _UNBOUND_FORMAT_VERSION if self.claim is None
+                else PROOF_FORMAT_VERSION
+            ),
             "num_variables": self.num_variables,
             "cnf": self.cnf,
             "assumptions": list(self.assumptions),
@@ -152,22 +163,43 @@ class ProofTrace:
             "proof": self.proof,
             "meta": dict(self.meta),
         }
+        if self.claim is not None:
+            data["claim"] = dict(self.claim)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProofTrace":
+        """Read an artifact written by :meth:`to_dict`.
+
+        Raises :class:`ValueError` for anything else — a non-object, an
+        unknown version, a missing required field, or a field of the
+        wrong type — so every reader can fail closed on one exception.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("proof artifact is not a JSON object")
         version = data.get("proof_format_version")
-        if version != PROOF_FORMAT_VERSION:
+        if version not in (_UNBOUND_FORMAT_VERSION, PROOF_FORMAT_VERSION):
             raise ValueError(f"unsupported proof format version: {version!r}")
+        for name in ("num_variables", "cnf"):
+            if name not in data:
+                raise ValueError(f"proof artifact has no {name!r} field")
+        claim = data.get("claim")
+        if version == PROOF_FORMAT_VERSION and not isinstance(claim, dict):
+            raise ValueError("format v2 proof artifact has no claim object")
+        if version == _UNBOUND_FORMAT_VERSION and claim is not None:
+            raise ValueError("format v1 proof artifact carries a claim")
         return cls(
-            num_variables=int(data["num_variables"]),
-            cnf=data["cnf"],
-            assumptions=tuple(int(lit) for lit in data.get("assumptions", ())),
+            num_variables=_typed(data["num_variables"], int, "num_variables"),
+            cnf=_typed(data["cnf"], str, "cnf"),
+            assumptions=_literals(data.get("assumptions", ()), "assumptions"),
             axioms=tuple(
-                tuple(int(lit) for lit in clause)
-                for clause in data.get("axioms", ())
+                _literals(clause, "axioms")
+                for clause in _typed(data.get("axioms", ()), (list, tuple),
+                                     "axioms")
             ),
-            proof=data.get("proof", ""),
-            meta=dict(data.get("meta", {})),
+            proof=_typed(data.get("proof", ""), str, "proof"),
+            meta=dict(_typed(data.get("meta", {}), dict, "meta")),
+            claim=None if claim is None else dict(claim),
         )
 
     def sha256(self) -> str:
@@ -180,11 +212,25 @@ class ProofTrace:
         return sum(1 for line in self.proof.splitlines() if line.strip())
 
 
+def _typed(value, kind, name: str):
+    """``value`` if it is a ``kind`` (never a bool standing in for an int)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"proof artifact field {name!r} has the wrong type")
+    return value
+
+
+def _literals(values, name: str) -> tuple[int, ...]:
+    """A literal list of an artifact, as a tuple of ints."""
+    return tuple(_typed(value, int, name)
+                 for value in _typed(values, (list, tuple), name))
+
+
 def build_trace(
     formula: CnfFormula,
     log: ProofLog,
     assumptions: Iterable[int] = (),
     meta: dict | None = None,
+    claim: dict | None = None,
 ) -> ProofTrace:
     """Package a refutation log into a checkable :class:`ProofTrace`.
 
@@ -203,6 +249,7 @@ def build_trace(
         axioms=tuple(log.axioms),
         proof=serialize_drat(lines),
         meta=dict(meta or {}),
+        claim=claim,
     )
 
 

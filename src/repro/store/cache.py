@@ -361,11 +361,9 @@ class CompilationCache:
 
         path = self.proof_path(sha)
         try:
-            data = json.loads(path.read_text())
-            trace = ProofTrace.from_dict(data)
-        except OSError:
-            return None
-        except (ValueError, KeyError, TypeError):
+            trace = ProofTrace.from_dict(json.loads(path.read_text()))
+        except (OSError, ValueError):
+            # ``from_dict`` raises ValueError for every malformed artifact.
             return None
         if trace.sha256() != sha:
             return None

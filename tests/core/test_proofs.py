@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 
 import pytest
 
 import repro.core.descent as descent_module
 from repro.core import FermihedralCompiler, FermihedralConfig, SolverBudget, descend
+from repro.core.claims import check_claim, describe_claim
 from repro.encodings.serialization import result_from_dict, result_to_dict
 from repro.fermion import tv_chain
 from repro.sat.drat import check_trace
@@ -73,15 +75,17 @@ class TestDescentEngines:
 
 #: Per rung ``(bound, status, conflicts, decisions, propagations)`` and the
 #: proof trace's sha256 prefix of the default Full-SAT descent.  Any change
-#: to the solver's search (branching, learning, restarts) moves these.
+#: to the solver's search (branching, learning, restarts) or to the
+#: instance (symmetry breaking, the warm start, the proof claim) moves these.
 _PINNED_DESCENTS = {
-    2: ([(6, "SAT", 1, 6, 52), (5, "UNSAT", 9, 9, 230)], "7dc3e6e9a26eafcb"),
-    3: ([(13, "SAT", 1, 18, 174), (12, "SAT", 20, 47, 756),
-         (11, "SAT", 5, 24, 316), (10, "UNSAT", 531, 723, 21135)],
-        "f7099fecfcf8e796"),
-    4: ([(20, "SAT", 2, 35, 417), (19, "SAT", 31, 78, 1995),
-         (18, "SAT", 24, 90, 1547), (15, "UNSAT", 3953, 5865, 267919)],
-        "5fc0bece0185ad3e"),
+    2: ([(6, "SAT", 1, 10, 61), (5, "UNSAT", 11, 11, 205)], "327caab4c41d3618"),
+    3: ([(13, "SAT", 1, 19, 191), (12, "SAT", 30, 84, 1575),
+         (10, "UNSAT", 203, 290, 8662)],
+        "7099c016d17476b1"),
+    4: ([(20, "SAT", 2, 43, 467), (19, "SAT", 407, 834, 24219),
+         (18, "SAT", 265, 445, 17102), (17, "SAT", 6, 65, 816),
+         (16, "SAT", 47, 96, 3988), (15, "UNSAT", 1064, 1633, 71433)],
+        "22360deb9ffa168c"),
 }
 
 
@@ -141,6 +145,23 @@ class TestFullSatOptima:
         assert len(heaps) == 1
         heap_size, num_vars = heaps[0]
         assert heap_size <= 8 * num_vars
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not os.environ.get("REPRO_SLOW_TESTS"),
+    reason="the N=5 proof takes about a minute (REPRO_SLOW_TESTS=1)",
+)
+def test_n5_optimum_is_proved_against_its_claim():
+    result = descend(5, config=_proof_config(
+        budget=SolverBudget(time_budget_s=600)))
+    assert result.weight == 22
+    assert result.proved_optimal
+    trace = result.proof_trace
+    assert check_claim(trace) is None
+    assert describe_claim(trace.claim) == "N=5 majorana weight ≥ 22"
+    verdict = check_trace(trace)
+    assert verdict.ok, verdict.reason
 
 
 class TestCompilerAndCache:
