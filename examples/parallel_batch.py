@@ -4,7 +4,8 @@ Two demonstrations:
 
 1. **Batch fan-out** — a sweep-shaped job list (duplicates included, as a
    bond-length sweep produces after coefficient-free fingerprinting)
-   compiled serially and then on 4 worker processes, with the live
+   compiled one job after another in this process (``jobs=1``, the
+   default engine) and then on 4 worker processes, with the live
    progress events the CLI renders on stderr, and identical weights /
    optimality proofs at either worker count.
 2. **Portfolio racing** — one descent solved with 1, 2 and 4 diversified
@@ -36,7 +37,7 @@ def sweep_jobs() -> list[CompileJob]:
 
 
 def demo_batch() -> None:
-    print("--- batch: serial vs 4 worker processes ---")
+    print("--- batch: in-process serial (jobs=1) vs 4 worker processes ---")
     config = FermihedralConfig(budget=SolverBudget(time_budget_s=60))
     jobs = sweep_jobs()
 

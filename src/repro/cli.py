@@ -433,9 +433,23 @@ def _unreadable_artifact(source: str) -> int:
     return 1
 
 
+def _print_proof_verdict(claim: str | None, ok: bool, reason: str | None,
+                         checked_additions: int, steps: int,
+                         where: str = "") -> int:
+    """The claim and verdict lines of a proof check; returns the exit code."""
+    if claim is not None:
+        print(f"claim:           {claim}")
+    if ok:
+        print(f"verdict:         OK ({checked_additions} additions "
+              f"checked in {steps} steps{where})")
+        return 0
+    print(f"verdict:         FAILED ({reason})")
+    return 1
+
+
 def cmd_verify_proof(args) -> int:
-    from repro.core.claims import check_claim, describe_claim
-    from repro.sat.drat import ProofTrace, check_trace
+    from repro.core.claims import verify_proof
+    from repro.sat.drat import ProofTrace
 
     path = Path(args.artifact)
     if path.exists():
@@ -483,21 +497,9 @@ def cmd_verify_proof(args) -> int:
     for key in ("bound", "engine"):
         if key in trace.meta:
             print(f"{key + ':':<17}{trace.meta[key]}")
-    if trace.claim is None:
-        print("claim:           unbound (format v1)")
-    else:
-        mismatch = check_claim(trace)
-        if mismatch is not None:
-            print(f"verdict:         FAILED (claim mismatch: {mismatch})")
-            return 1
-        print(f"claim:           {describe_claim(trace.claim)}")
-    verdict = check_trace(trace)
-    if verdict.ok:
-        print(f"verdict:         OK ({verdict.checked_additions} additions "
-              f"checked in {verdict.steps} steps)")
-        return 0
-    print(f"verdict:         FAILED ({verdict.reason})")
-    return 1
+    claim, verdict = verify_proof(trace)
+    return _print_proof_verdict(claim, verdict.ok, verdict.reason,
+                                verdict.checked_additions, verdict.steps)
 
 
 def cmd_trace_show(args) -> int:
@@ -595,7 +597,6 @@ def cmd_batch(args) -> int:
 
     compiler = BatchCompiler(
         cache=cache,
-        max_workers=args.workers,
         default_config=default_config,
         jobs=args.jobs_n,
         on_event=None if args.quiet else live_status,
@@ -965,12 +966,11 @@ def cmd_jobs_proof(args) -> int:
     except ServiceError as error:
         print(f"verdict:         UNAVAILABLE ({error})")
         return 1
-    if report["verified"]:
-        print(f"verdict:         OK ({report['checked_additions']} additions "
-              f"checked in {report['steps']} steps, verified client-side)")
-        return 0
-    print(f"verdict:         FAILED ({report['reason']})")
-    return 1
+    return _print_proof_verdict(
+        report["claim"], report["verified"], report["reason"],
+        report["checked_additions"], report["steps"],
+        where=", verified client-side",
+    )
 
 
 def cmd_shutdown(args) -> int:
@@ -1410,13 +1410,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch = subparsers.add_parser(
         "batch",
-        help="compile many jobs concurrently, deduplicated through the cache",
-        description="Fan a list of compilation jobs across workers. "
+        help="compile many jobs, deduplicated through the cache",
+        description="Compile a list of jobs, deduplicated through the cache. "
                     "Jobs with identical fingerprints are compiled once; with "
                     "--cache, results persist across runs and already-final "
-                    "entries short-circuit in the parent. --jobs N uses N "
-                    "worker processes (real CPU parallelism); otherwise a "
-                    "thread pool runs the batch. Jobs come from a "
+                    "entries short-circuit in the parent. --jobs N fans the "
+                    "jobs across N worker processes (real CPU parallelism); "
+                    "otherwise they compile one after another in this "
+                    "process. Jobs come from a "
                     "JSON file (a list of objects with 'model' or 'modes', "
                     "plus optional 'method', 'seed', 'label') and/or repeated "
                     "--model flags.",
@@ -1431,11 +1432,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="method for jobs that do not specify one "
                             "(default: full-sat)")
     batch.add_argument("--jobs", type=int, default=None, metavar="N", dest="jobs_n",
-                       help="worker processes (default: 1 = thread pool); "
-                            "identical results at any N, only faster")
-    batch.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="worker threads when --jobs is not given "
-                            "(default: executor default)")
+                       help="worker processes (default: 1 = compile "
+                            "serially in this process); identical results "
+                            "at any N, only faster")
     batch.add_argument("--quiet", action="store_true",
                        help="suppress the live per-job status line on stderr")
     batch.add_argument("--cache", default=None, metavar="DIR",
@@ -1607,8 +1606,9 @@ def build_parser() -> argparse.ArgumentParser:
     jobs_proof = jobs_sub.add_parser(
         "proof", help="fetch and client-side-verify a job's proof",
         description="Download a finished job's DRAT optimality proof from "
-                    "the service and re-check it locally with the "
-                    "independent checker — the service is never trusted "
+                    "the service and re-check it locally with "
+                    "'repro verify-proof''s checks (claim, then the "
+                    "independent checker) — the service is never trusted "
                     "about its own certificates.",
     )
     jobs_proof.add_argument("id", help="job id (any unique prefix)")

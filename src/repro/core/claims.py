@@ -44,6 +44,7 @@ from repro.core.descent import (
 )
 from repro.fermion.hamiltonians import FermionicHamiltonian
 from repro.fermion.majorana import MajoranaPolynomial
+from repro.sat.drat import ProofCheckResult, check_trace
 
 OBJECTIVE_MAJORANA = "majorana"
 OBJECTIVE_HAMILTONIAN = "hamiltonian"
@@ -197,3 +198,21 @@ def describe_claim(claim: dict) -> str:
     text = (f"N={claim['modes']} {claim['objective']} weight "
             f"≥ {claim['bound'] + 1}")
     return f"{text} ({', '.join(details)})" if details else text
+
+
+def verify_proof(trace) -> tuple[str | None, ProofCheckResult]:
+    """Check that ``trace`` certifies its claim, then replay its DRAT
+    derivation — the one verifier behind ``repro verify-proof`` and
+    :meth:`repro.service.client.ServiceClient.verify_proof`.
+
+    Returns the claim as one line (``"unbound (format v1)"`` for an
+    artifact that carries none) and the checker's verdict.  A claim that
+    does not match the artifact fails before the checker runs, with a
+    ``None`` claim line.
+    """
+    if trace.claim is None:
+        return "unbound (format v1)", check_trace(trace)
+    mismatch = check_claim(trace)
+    if mismatch is not None:
+        return None, ProofCheckResult(False, f"claim mismatch: {mismatch}")
+    return describe_claim(trace.claim), check_trace(trace)

@@ -35,10 +35,13 @@ from pathlib import Path
 
 from repro import chaos
 from repro.core.config import FermihedralConfig
-from repro.core.pipeline import FermihedralCompiler
-from repro.hardware import resolve_device
 from repro.parallel.events import EventCallback, JobFinished, JobStarted
-from repro.store.batch import CompileJob, JobOutcome, run_compile_job
+from repro.store.batch import (
+    CompileJob,
+    JobOutcome,
+    final_cached_result,
+    run_compile_job,
+)
 from repro.store.cache import CompilationCache
 
 
@@ -51,18 +54,18 @@ def _compile_in_worker(
     progress_path: str | None = None,
 ) -> JobOutcome:
     """Worker-process body: reopen the cache by directory, then run the
-    same :func:`repro.store.batch.run_compile_job` the thread pool uses
-    (exceptions already folded into an ``error`` outcome there).  The
-    outcome travels back to the parent by pickle, like any pool return
-    value.
+    same :func:`repro.store.batch.run_compile_job` the in-process engine
+    (:func:`repro.store.batch.run_in_process`) uses, exceptions already
+    folded into an ``error`` outcome there.  The outcome travels back to
+    the parent by pickle, like any pool return value.
 
     With ``relay_telemetry`` the job records into a worker-local
     :class:`~repro.telemetry.Telemetry` whose drained contents ride home
-    on :attr:`JobOutcome.telemetry` — spans and metric deltas cross the
-    process boundary as plain data, and the parent merges them exactly
-    once.  ``progress_path`` additionally mirrors the job's live
-    progress snapshot into a JSON file the parent can read *while the
-    job runs* — the result pipe only speaks at completion."""
+    on :attr:`JobOutcome.telemetry` — spans, metric deltas and progress
+    events cross the process boundary as plain data, and the parent
+    merges them exactly once.  ``progress_path`` additionally mirrors the
+    job's live progress snapshot into a JSON file the parent can read
+    *while the job runs* — the result pipe only speaks at completion."""
     cache = CompilationCache(cache_root) if cache_root else None
     telemetry = None
     if relay_telemetry:
@@ -203,15 +206,10 @@ class ProcessBatchExecutor:
 
     def _parent_fast_path(self, job: CompileJob, key: str) -> JobOutcome | None:
         """A final cached result short-circuits dispatch entirely."""
-        if self.cache is None:
-            return None
         started = time.monotonic()
-        cached = self.cache.get(key)
+        cached = final_cached_result(self.cache, job, key)
         if cached is None:
-            return None
-        topology = resolve_device(job.device)
-        if not FermihedralCompiler._is_final(cached, job.method, topology):
-            return None  # worker will warm-start from it instead
+            return None  # a worker compiles it, warm-starting if it can
         return JobOutcome(
             job=job,
             key=key,

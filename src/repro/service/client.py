@@ -311,14 +311,16 @@ class ServiceClient:
 
         The whole point of a DRAT certificate is that the consumer need
         not trust the producer: this pulls the stored trace over the wire
-        and runs the independent checker
-        (:func:`repro.sat.drat.check_trace`) locally.  Returns
-        ``{"id", "proof", "verified", "reason", "steps",
-        "checked_additions"}``; a sha256 mismatch between the served
-        document and its advertised content address fails before the
+        and runs ``repro verify-proof``'s verifier
+        (:func:`repro.core.claims.verify_proof`: the claim check, then
+        the independent DRAT checker) locally.  Returns ``{"id", "proof",
+        "verified", "reason", "claim", "steps", "checked_additions"}``;
+        a served trace that is no proof artifact, or whose sha256 does
+        not match its advertised content address, fails before the
         checker even runs.
         """
-        from repro.sat.drat import ProofTrace, check_trace
+        from repro.core.claims import verify_proof
+        from repro.sat.drat import ProofCheckResult, ProofTrace
 
         payload = self.proof(job_id)
         document = payload.get("trace")
@@ -327,23 +329,25 @@ class ServiceClient:
                 f"job {payload.get('id', job_id)[:12]} served proof metadata "
                 "but no trace artifact (cache disabled or artifact evicted)"
             )
-        trace = ProofTrace.from_dict(document)
-        advertised = (payload.get("proof") or {}).get("sha256")
-        if advertised and trace.sha256() != advertised:
-            return {
-                "id": payload["id"],
-                "proof": payload.get("proof"),
-                "verified": False,
-                "reason": "served trace does not match its advertised sha256",
-                "steps": 0,
-                "checked_additions": 0,
-            }
-        report = check_trace(trace)
+        claim: str | None = None
+        try:
+            trace = ProofTrace.from_dict(document)
+        except ValueError:
+            report = ProofCheckResult(
+                False, "artifact is corrupted or unreadable")
+        else:
+            advertised = (payload.get("proof") or {}).get("sha256")
+            if advertised and trace.sha256() != advertised:
+                report = ProofCheckResult(
+                    False, "served trace does not match its advertised sha256")
+            else:
+                claim, report = verify_proof(trace)
         return {
             "id": payload["id"],
             "proof": payload.get("proof"),
             "verified": report.ok,
             "reason": report.reason,
+            "claim": claim,
             "steps": report.steps,
             "checked_additions": report.checked_additions,
         }

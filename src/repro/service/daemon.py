@@ -68,15 +68,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.config import METHOD_FULL_SAT, FermihedralConfig
-from repro.core.pipeline import FermihedralCompiler
-from repro.hardware import resolve_device
 from repro.service.jobs import DONE, FAILED, QUEUED, RUNNING, JobRecord
 from repro.store.batch import (
     CompileJob,
     JobOutcome,
     compile_job_key,
+    final_cached_result,
     job_from_spec,
-    run_compile_job,
+    run_in_process,
 )
 from repro.store.cache import CompilationCache
 
@@ -177,9 +176,10 @@ class CompilationService:
         default_method / default_device: applied to specs without those
             fields, mirroring ``repro batch``'s CLI defaults.
         use_processes: force the drain engine — ``True`` = the persistent
-            process pool, ``False`` = in-thread compiles (no isolation,
-            but works where ``fork`` does not).  ``None`` picks processes
-            exactly when ``fork`` is available.
+            process pool, ``False`` = in-process compiles on each slot
+            thread (:func:`repro.store.batch.run_in_process`; no
+            isolation, but works where ``fork`` does not).  ``None``
+            picks processes exactly when ``fork`` is available.
         runner: test seam — replaces the drain engine with a callable
             mapping a batch to outcomes.
         telemetry: a :class:`repro.telemetry.Telemetry` handle.  ``None``
@@ -405,7 +405,7 @@ class CompilationService:
         # The cache read is real disk I/O — do it without the lock, then
         # re-check the registry: a racing twin may have submitted the
         # same key, or the service may have started draining.
-        cached = self._final_cached(job, key)
+        cached = final_cached_result(self.cache, job, key)
         with self._wake:
             existing = self._existing_or_reject(key)
             if existing is not None:
@@ -476,18 +476,6 @@ class CompilationService:
         avg = (sum(recent) / len(recent)) if recent else 10.0
         waves = (self._active_count + self.jobs) // max(self.jobs, 1)
         return float(min(_RETRY_AFTER_CAP_S, max(1, int(round(avg * waves)))))
-
-    def _final_cached(self, job: CompileJob, key: str):
-        """A cached result that can answer the submission outright."""
-        if self.cache is None:
-            return None
-        cached = self.cache.get(key)
-        if cached is None:
-            return None
-        topology = resolve_device(job.device)
-        if not FermihedralCompiler._is_final(cached, job.method, topology):
-            return None  # unproved: let a worker warm-start from it
-        return cached
 
     # -- dispatch -------------------------------------------------------------
 
@@ -580,35 +568,8 @@ class CompilationService:
             return self._runner(batch)
         if self._executor is not None:
             return self._executor.run(batch)
-        # In-thread fallback (no fork): same body the thread batch uses.
-        # Each job still records into its own throwaway Telemetry and
-        # relays, so per-job traces exist on every execution engine.
-        from repro.telemetry import Telemetry
-
-        outcomes = {}
-        for key, job in batch:
-            job_telemetry = Telemetry()
-
-            def forward(event, _bus=self.telemetry.progress):
-                _bus.ingest([event])
-
-            # Same-process jobs can stream progress live instead of
-            # waiting for the end-of-job relay.
-            job_telemetry.progress.add_sink(forward)
-            outcome = run_compile_job(
-                job, job.config or self.default_config, self.cache, key,
-                telemetry=job_telemetry,
-            )
-            payload = job_telemetry.drain_relay()
-            # Progress already went through the live sink above —
-            # absorbing it again would double every event.
-            payload.pop("progress", None)
-            outcome.telemetry = payload
-            self.telemetry.absorb_relay(
-                payload, extra={"job": job.display}
-            )
-            outcomes[key] = outcome
-        return outcomes
+        return run_in_process(batch, self.default_config, self.cache,
+                              telemetry=self.telemetry)
 
     def _handle_outcome(self, outcome: JobOutcome) -> None:
         """Terminal bookkeeping for one job (idempotent; called from the

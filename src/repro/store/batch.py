@@ -1,4 +1,4 @@
-"""Batch compilation: fan a job list across workers, deduplicated by key.
+"""Batch compilation: run a job list, deduplicated by key.
 
 The SAT descent dominates wall-clock time, so a batch front-end has two
 cheap wins before it ever parallelizes:
@@ -8,27 +8,26 @@ cheap wins before it ever parallelizes:
    result (status ``"deduplicated"``).  Because the fingerprint ignores
    Hamiltonian coefficients, a sweep over e.g. bond lengths of the same
    molecule collapses to a single solve.
-2. **Caching** — each worker runs a cache-enabled
+2. **Caching** — each job runs a cache-enabled
    :class:`~repro.core.pipeline.FermihedralCompiler`, so keys already in
    the persistent store return instantly across batch invocations.
 
-Execution is pluggable.  With ``jobs > 1`` the unique jobs fan out
+A job runs one of two ways.  With ``jobs > 1`` the unique jobs fan out
 across **worker processes** (:class:`repro.parallel.executor
 .ProcessBatchExecutor`) — real CPU parallelism for the GIL-holding
 pure-Python solver, with a parent-side cache fast path and per-job
-failure isolation.  Otherwise the legacy thread pool runs them (the
-jobs then share one cache object and results need no pickling).  Both
-paths emit :mod:`repro.parallel.events` through ``on_event``, which the
-CLI renders as a live per-job status line.
+failure isolation.  Otherwise :func:`run_in_process` compiles them one
+after another in this process (the service daemon's in-process engine
+uses it too).  Both engines emit :mod:`repro.parallel.events` through
+``on_event``, which the CLI renders as a live per-job status line, and
+give each job its own telemetry handle when the caller holds one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -48,6 +47,7 @@ from repro.fermion.hamiltonians import FermionicHamiltonian
 from repro.hardware import DeviceTopology, resolve_device
 from repro.store.cache import CompilationCache
 from repro.store.fingerprint import compilation_key
+from repro.telemetry import Telemetry
 from repro.telemetry.flight import FlightRecorder
 
 #: Job statuses a :class:`BatchReport` can contain.  ``degraded`` is a
@@ -312,10 +312,12 @@ class JobOutcome:
     it did not (unwritable or vanished cache directory) — the job is
     *not* an error in that case; the result is simply not memoized.
 
-    ``telemetry`` carries a cross-process relay payload (the worker-side
-    ``Telemetry.drain_relay()`` dict) when the job ran in a worker process
-    with telemetry enabled; in-process executions leave it ``None``
-    because they record straight into the parent handle.
+    ``telemetry`` carries the job's own relay payload (its
+    ``Telemetry.drain_relay()`` dict, less the ``progress`` the
+    in-process engine already streamed live) whenever the caller held a
+    telemetry handle, on either engine.  The caller has already absorbed
+    it; it stays here for per-job trace storage.  ``None`` when the batch
+    ran without telemetry.
 
     ``forensics`` is the flight-recorder dump assembled at failure time
     (recent breadcrumbs, open spans, a metrics snapshot, the formatted
@@ -389,6 +391,27 @@ def compile_job_key(job: CompileJob, default_config: FermihedralConfig) -> str:
     )
 
 
+def final_cached_result(
+    cache: CompilationCache | None, job: CompileJob, key: str
+) -> CompilationResult | None:
+    """A cached result that answers ``job`` outright, without a compile.
+
+    The one cache-hit test shared by the process executor's parent fast
+    path and the service daemon's synchronous submit: an entry counts
+    only when :meth:`FermihedralCompiler._is_final` accepts it, so an
+    unproved entry is left for a compile to warm-start from.
+    """
+    if cache is None:
+        return None
+    cached = cache.get(key)
+    if cached is None:
+        return None
+    topology = resolve_device(job.device)
+    if not FermihedralCompiler._is_final(cached, job.method, topology):
+        return None
+    return cached
+
+
 def run_compile_job(
     job: CompileJob,
     config: FermihedralConfig,
@@ -398,17 +421,17 @@ def run_compile_job(
 ) -> JobOutcome:
     """One cache-enabled compile, exceptions folded into an ``error`` outcome.
 
-    The single execution body shared by the thread pool (cache object in
-    hand), the process executor's workers (cache reopened by directory),
-    and the service daemon's single-worker path, so none of them can
-    drift in status mapping or error handling.  A cache-store failure
-    (``store-failed``) keeps the job successful — the compiled result is
-    returned with ``cache_error`` noting why it was not persisted.
+    The single execution body shared by :func:`run_in_process` (cache
+    object in hand) and the process executor's workers (cache reopened by
+    directory), so no engine can drift in status mapping or error
+    handling.  A cache-store failure (``store-failed``) keeps the job
+    successful — the compiled result is returned with ``cache_error``
+    noting why it was not persisted.
 
     ``telemetry`` is handed to the compiler: spans and metrics from the
-    descent land in that handle (in-process callers pass their own; the
-    process executor's workers pass a fresh one and relay its contents
-    back through :attr:`JobOutcome.telemetry`).  With telemetry on, a
+    descent land in that handle.  Both engines pass a fresh handle per
+    job and relay its contents back through :attr:`JobOutcome.telemetry`,
+    so no two jobs ever share one.  With telemetry on, a
     per-job :class:`~repro.telemetry.flight.FlightRecorder` additionally
     shadows the run, and a failing job returns its post-mortem dump in
     :attr:`JobOutcome.forensics`; progress events emitted anywhere below
@@ -419,7 +442,6 @@ def run_compile_job(
     recorder = None
     if telemetry is not None:
         recorder = FlightRecorder()
-        telemetry.flight = recorder
         if progress is not None:
             progress.add_sink(recorder.watch)
         recorder.record("info", "job started", job=key, label=job.display)
@@ -468,47 +490,94 @@ def run_compile_job(
             outcome.forensics = recorder.dump(telemetry, error=error)
         return outcome
     finally:
-        # The thread path shares one telemetry handle across jobs — the
-        # recorder and its sink must not outlive this job.
+        # The recorder's sink must not outlive this job.
+        if progress is not None:
+            progress.remove_sink(recorder.watch)
+
+
+def run_in_process(
+    work: list[tuple[str, CompileJob]],
+    default_config: FermihedralConfig,
+    cache: CompilationCache | None = None,
+    telemetry=None,
+    on_event=None,
+) -> dict[str, JobOutcome]:
+    """Compile unique ``(key, job)`` pairs one after another, in-process.
+
+    The ``jobs == 1`` engine of :class:`BatchCompiler` and the service
+    daemon's ``use_processes=False`` engine.  With ``telemetry``, each job
+    records into its own handle, exactly as a worker process does: its
+    progress streams live into ``telemetry``'s bus, and its spans and
+    metric deltas are absorbed (tagged with the job label) and kept on
+    :attr:`JobOutcome.telemetry`.  So outcomes, span tags and per-job
+    events match the process executor's, and a failing job's forensics
+    hold only its own work.
+    """
+    from repro.parallel.events import JobFinished, JobStarted
+
+    emit = on_event or (lambda event: None)
+    total = len(work)
+    outcomes: dict[str, JobOutcome] = {}
+    for index, (key, job) in enumerate(work):
+        emit(JobStarted(index, total, job.display, key))
+        job_telemetry = None
         if telemetry is not None:
-            telemetry.flight = None
-            if progress is not None:
-                progress.remove_sink(recorder.watch)
+            job_telemetry = Telemetry()
+            job_telemetry.progress.add_sink(
+                lambda event: telemetry.progress.ingest([event])
+            )
+        outcome = run_compile_job(job, job.config or default_config, cache,
+                                  key, telemetry=job_telemetry)
+        if job_telemetry is not None:
+            # The compiler pointed the shared cache at the job's handle;
+            # cache reads after the job belong to the caller's handle.
+            if cache is not None:
+                cache.set_telemetry(telemetry)
+            payload = job_telemetry.drain_relay()
+            # Progress already went through the live sink above —
+            # absorbing it again would double every event.
+            payload.pop("progress", None)
+            outcome.telemetry = payload
+            telemetry.absorb_relay(payload, extra={"job": job.display})
+        outcomes[key] = outcome
+        emit(JobFinished(
+            index, total, job.display, key, outcome.status,
+            outcome.elapsed_s,
+            weight=None if outcome.result is None else outcome.result.weight,
+            error=outcome.error,
+        ))
+    return outcomes
 
 
 class BatchCompiler:
-    """Compile many jobs concurrently, deduplicating through the cache.
+    """Compile many jobs, deduplicating through the cache.
 
     Args:
         cache: shared persistent cache; ``None`` still deduplicates within
             the batch but persists nothing.
-        max_workers: thread-pool size (default: executor's own default);
-            only used when the batch runs on threads.
         default_config: config applied to jobs that carry none.
         jobs: worker-*process* count.  ``jobs > 1`` routes the unique jobs
-            through :class:`repro.parallel.executor.ProcessBatchExecutor`
-            instead of the thread pool; ``None`` falls back to
+            through :class:`repro.parallel.executor.ProcessBatchExecutor`;
+            ``1`` compiles them serially in this process
+            (:func:`run_in_process`); ``None`` falls back to
             ``default_config.jobs``.  Results are identical either way —
-            same weights, same optimality proofs — the executors only
+            same weights, same optimality proofs — the engines only
             change how fast they arrive.
         on_event: :mod:`repro.parallel.events` callback for live progress.
-        telemetry: a :class:`repro.telemetry.Telemetry` handle shared by
-            all jobs; worker processes relay their spans and metric
-            deltas back into it (see
-            :class:`repro.parallel.executor.ProcessBatchExecutor`).
+        telemetry: a :class:`repro.telemetry.Telemetry` handle.  Each job
+            records into its own handle, whose spans and metric deltas
+            are relayed back into this one on either engine.
     """
 
     def __init__(
         self,
         cache: CompilationCache | None = None,
-        max_workers: int | None = None,
         default_config: FermihedralConfig | None = None,
         jobs: int | None = None,
         on_event=None,
         telemetry=None,
     ):
         self.cache = cache
-        self.max_workers = max_workers
         self.default_config = default_config or FermihedralConfig()
         self.jobs = self.default_config.jobs if jobs is None else jobs
         if self.jobs < 1:
@@ -520,68 +589,8 @@ class BatchCompiler:
         if self.on_event is not None:
             self.on_event(event)
 
-    def _job_config(self, job: CompileJob) -> FermihedralConfig:
-        return job.config or self.default_config
-
     def _job_key(self, job: CompileJob) -> str:
         return compile_job_key(job, self.default_config)
-
-    def _run_one(self, job: CompileJob, key: str) -> JobOutcome:
-        return run_compile_job(
-            job, self._job_config(job), self.cache, key, telemetry=self.telemetry
-        )
-
-    def _run_unique_threads(
-        self, unique: list[tuple[str, CompileJob]]
-    ) -> dict[str, JobOutcome]:
-        """Legacy thread-pool execution of the deduplicated job list."""
-        from repro.parallel.events import JobFinished, JobStarted
-
-        total = len(unique)
-        primary_outcomes: dict[str, JobOutcome] = {}
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            futures = {}
-            for index, (key, job) in enumerate(unique):
-                futures[pool.submit(self._run_one, job, key)] = (index, key, job)
-                self._emit(JobStarted(index, total, job.display, key))
-            not_done = set(futures)
-            while not_done:
-                done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index, key, job = futures[future]
-                    try:
-                        outcome = future.result()
-                    except Exception as crash:  # defensive: keep the batch alive
-                        outcome = JobOutcome(
-                            job=job,
-                            key=key,
-                            status="error",
-                            error=f"{type(crash).__name__}: {crash}",
-                        )
-                    primary_outcomes[key] = outcome
-                    self._emit(JobFinished(
-                        index, total, job.display, key, outcome.status,
-                        outcome.elapsed_s,
-                        weight=None if outcome.result is None
-                        else outcome.result.weight,
-                        error=outcome.error,
-                    ))
-        return primary_outcomes
-
-    def _run_unique_processes(
-        self, unique: list[tuple[str, CompileJob]]
-    ) -> dict[str, JobOutcome]:
-        """Process-pool execution (the ``jobs > 1`` path)."""
-        from repro.parallel.executor import ProcessBatchExecutor
-
-        executor = ProcessBatchExecutor(
-            jobs=self.jobs,
-            cache=self.cache,
-            default_config=self.default_config,
-            on_event=self.on_event,
-            telemetry=self.telemetry,
-        )
-        return executor.run(unique)
 
     def compile(self, jobs: list[CompileJob]) -> BatchReport:
         """Run a job list; returns outcomes in the input order.
@@ -610,25 +619,27 @@ class BatchCompiler:
                 primary_index.setdefault(key, index)
 
         unique = [(keys[i], jobs[i]) for i in sorted(primary_index.values())]
-        if self.jobs > 1:
-            workers = self.jobs
-        elif self.max_workers is not None:
-            workers = self.max_workers
-        else:
-            # ThreadPoolExecutor's own default worker count
-            workers = min(32, (os.cpu_count() or 1) + 4)
         self._emit(BatchStarted(
             total=len(jobs),
             unique=len(unique),
             deduplicated=len(jobs) - len(unique) - len(key_errors),
-            workers=min(workers, max(len(unique), 1)),
+            workers=min(self.jobs, max(len(unique), 1)),
         ))
-        primary_outcomes: dict[str, JobOutcome] = {}
-        if unique:
-            if self.jobs > 1:
-                primary_outcomes = self._run_unique_processes(unique)
-            else:
-                primary_outcomes = self._run_unique_threads(unique)
+        if self.jobs > 1:
+            from repro.parallel.executor import ProcessBatchExecutor
+
+            primary_outcomes = ProcessBatchExecutor(
+                jobs=self.jobs,
+                cache=self.cache,
+                default_config=self.default_config,
+                on_event=self.on_event,
+                telemetry=self.telemetry,
+            ).run(unique)
+        else:
+            primary_outcomes = run_in_process(
+                unique, self.default_config, self.cache,
+                telemetry=self.telemetry, on_event=self.on_event,
+            )
 
         outcomes: list[JobOutcome] = []
         for index, (job, key) in enumerate(zip(jobs, keys)):

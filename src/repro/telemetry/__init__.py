@@ -18,10 +18,11 @@ additively (exactly once, because draining resets the export mark),
 span ids are remapped into the parent's id space, and progress events
 are re-sequenced into the parent bus's cursor feed.
 
-A :class:`FlightRecorder` (``telemetry/flight.py``) can additionally be
-attached per job as ``telemetry.flight``; on failure its :meth:`dump`
-combines recent breadcrumbs with the tracer's open spans and a metrics
-snapshot into the post-mortem the service persists.
+A :class:`FlightRecorder` (``telemetry/flight.py``) additionally
+shadows each batch job as a sink on its handle's progress bus; on
+failure its :meth:`dump` combines recent breadcrumbs with the tracer's
+open spans and a metrics snapshot into the post-mortem the service
+persists.
 """
 
 from __future__ import annotations
@@ -75,9 +76,6 @@ class Telemetry:
         self.metrics = MetricsRegistry() if metrics is None else metrics
         self.tracer = Tracer() if tracer is None else tracer
         self.progress = ProgressBus() if progress is None else progress
-        #: Per-job flight recorder, attached by ``run_compile_job`` for
-        #: the duration of one job; ``None`` otherwise.
-        self.flight: FlightRecorder | None = None
 
     # -- tracing -----------------------------------------------------------
 

@@ -179,6 +179,40 @@ class TestCli:
             in capsys.readouterr().out
 
 
+class TestJobsProof:
+    """``repro jobs proof`` checks a served trace as ``verify-proof`` does."""
+
+    def _serve(self, monkeypatch, document, sha256=None):
+        from repro.service import ServiceClient
+
+        payload = {"id": "ab" * 32, "proof": {"sha256": sha256},
+                   "trace": document}
+        monkeypatch.setattr(ServiceClient, "proof",
+                            lambda client, job_id: payload)
+        return main(["jobs", "proof", "ab" * 6,
+                     "--url", "http://127.0.0.1:9"])
+
+    def test_served_proof_prints_its_claim(self, trace, monkeypatch, capsys):
+        assert self._serve(monkeypatch, trace.to_dict(), trace.sha256()) == 0
+        out = capsys.readouterr().out
+        assert "claim:           N=3 majorana weight ≥ 11" in out
+        assert "verdict:         OK" in out
+
+    def test_tampered_claim_is_a_mismatch(self, trace, monkeypatch, capsys):
+        tampered = dataclasses.replace(trace, claim=dict(trace.claim, bound=9))
+        assert check_trace(tampered).ok  # the DRAT check alone passes
+        code = self._serve(monkeypatch, tampered.to_dict(), tampered.sha256())
+        assert code == 1
+        assert "verdict:         FAILED (claim mismatch: " \
+            in capsys.readouterr().out
+
+    def test_malformed_trace_fails_without_a_traceback(self, monkeypatch,
+                                                       capsys):
+        assert self._serve(monkeypatch, [1, 2]) == 1
+        assert "verdict:         FAILED (artifact is corrupted or unreadable)" \
+            in capsys.readouterr().out
+
+
 class TestFromDict:
     @pytest.fixture(params=["v1", "v2"])
     def document(self, request, trace) -> dict:

@@ -13,6 +13,7 @@ from repro.parallel.events import (
 )
 from repro.parallel.executor import ProcessBatchExecutor
 from repro.store import BatchCompiler, CompilationCache, CompileJob
+from repro.telemetry import Telemetry
 
 
 def _job(modes: int, label: str | None = None, **kwargs) -> CompileJob:
@@ -115,7 +116,7 @@ class TestBatchCompilerProcessPath:
         assert len(error_events) == 1 and "qubit_weights" in error_events[0].error
         assert not report.ok
 
-    def test_thread_path_emits_the_same_events(self):
+    def test_serial_path_emits_the_same_events(self):
         events = []
         BatchCompiler(jobs=1, on_event=events.append).compile([_job(2, "a")])
         kinds = [type(e).__name__ for e in events]
@@ -133,6 +134,54 @@ class TestBatchCompilerProcessPath:
             [_job(2, "a"), _job(3, "b")]
         )
         assert [o.status for o in rerun.outcomes] == ["cache-hit", "cache-hit"]
+
+
+class TestInProcessEngine:
+    def test_failed_job_forensics_hold_only_its_own_work(self):
+        report = BatchCompiler(jobs=1, telemetry=Telemetry()).compile(
+            [_job(4, "healthy"), _poison_job()]
+        )
+        healthy, poison = report.outcomes
+        assert healthy.status == "compiled" and poison.status == "error"
+        dump = poison.forensics
+        # Nothing of the healthy job: none of its spans are open, and no
+        # breadcrumb or bus event names its key.
+        assert dump["open_spans"] == []
+        assert dump["events"]
+        assert {event.get("job") for event in dump["events"]} == {poison.key}
+
+    def test_jobs_1_and_2_give_the_same_outcomes_and_telemetry(self):
+        jobs = [_job(2, "a"), _job(3, "b"), _poison_job()]
+        runs = []
+        for engine in (1, 2):
+            telemetry, events = Telemetry(), []
+            report = BatchCompiler(
+                jobs=engine, telemetry=telemetry, on_event=events.append
+            ).compile(jobs)
+            per_job = {
+                index: [type(e).__name__ for e in events
+                        if getattr(e, "index", None) == index]
+                for index in range(len(jobs))
+            }
+            compile_tags = sorted(
+                event["attrs"]["job"] for event in telemetry.tracer.events()
+                if event["name"] == "compile"
+            )
+            for outcome in report.outcomes:
+                assert outcome.telemetry["events"]
+            runs.append((
+                [o.status for o in report.outcomes],
+                [o.result and o.result.weight for o in report.outcomes],
+                per_job,
+                compile_tags,
+                [sorted({e["name"] for e in o.telemetry["events"]})
+                 for o in report.outcomes],
+            ))
+        serial, parallel = runs
+        assert serial == parallel
+        assert serial[0] == ["compiled", "compiled", "error"]
+        assert serial[1] == [6, 11, None]
+        assert serial[3] == ["a", "b", "poison"]
 
 
 class TestEvents:

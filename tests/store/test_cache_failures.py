@@ -62,7 +62,7 @@ class TestBatchStoreFailure:
             CompileJob(method="independent", num_modes=3, label="b"),
         ]
 
-    def test_thread_path_keeps_batch_alive(self, tmp_path, config):
+    def test_serial_path_keeps_batch_alive(self, tmp_path, config):
         batch = BatchCompiler(
             cache=_unwritable_cache(tmp_path), default_config=config
         )

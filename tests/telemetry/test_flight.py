@@ -11,6 +11,7 @@ path can be drilled on demand.
 import pytest
 
 from repro.core.config import FermihedralConfig
+import repro.store.batch as batch_module
 from repro.store import CompileJob
 from repro.store.batch import CHAOS_ENV, run_compile_job
 from repro.telemetry import FlightRecorder, ProgressBus, Telemetry
@@ -82,6 +83,14 @@ class TestDump:
 class TestChaosInjection:
     def test_matching_label_fails_with_forensics(self, monkeypatch):
         monkeypatch.setenv(CHAOS_ENV, "chaos")
+        recorders = []
+
+        class KeptRecorder(FlightRecorder):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                recorders.append(self)
+
+        monkeypatch.setattr(batch_module, "FlightRecorder", KeptRecorder)
         telemetry = Telemetry()
         job = CompileJob(method="independent", num_modes=2,
                          label="chaos-drill", config=FermihedralConfig())
@@ -95,9 +104,12 @@ class TestChaosInjection:
         assert messages[0] == "job started"
         assert messages[-1] == "job failed"
         assert "chaos fault injected" in dump["error"]
-        # The per-job recorder detaches afterwards: the shared handle is
-        # clean and the bus has no lingering recorder sink.
-        assert telemetry.flight is None
+        # The per-job recorder detaches afterwards: bus events after the
+        # job no longer reach it.
+        (recorder,) = recorders
+        before = recorder.events()
+        telemetry.progress.emit("after-the-job")
+        assert recorder.events() == before
 
     def test_non_matching_label_is_untouched(self, monkeypatch):
         monkeypatch.setenv(CHAOS_ENV, "chaos")
