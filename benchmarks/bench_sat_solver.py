@@ -191,7 +191,8 @@ def bench_ladder_rung(modes: int, max_conflicts: int) -> dict:
     — far below anything a budgeted search can reach — so both arms burn
     the exact conflict budget and the wall ratio is a clean throughput
     comparison.  The preprocessed arm pays its simplification cost inside
-    the measurement.
+    the measurement, and reports it on its own as ``preprocess_s`` (with
+    the simplified clause count, ``preprocessed_clauses_out``).
     """
     from repro.core.descent import build_base_formula, measured_weight
     from repro.encodings.bravyi_kitaev import bravyi_kitaev
@@ -213,7 +214,10 @@ def bench_ladder_rung(modes: int, max_conflicts: int) -> dict:
         if arm == "preprocessed":
             frozen = set(encoder.all_string_variables())
             frozen.update(abs(s) for s in selectors)
+            preprocess_started = time.monotonic()
             simplified = preprocess(formula, frozen=frozen)
+            out["preprocess_s"] = round(time.monotonic() - preprocess_started, 3)
+            out["preprocessed_clauses_out"] = simplified.formula.num_clauses
             formula = simplified.formula
             reconstructor = simplified.reconstruct
         solver = CdclSolver(

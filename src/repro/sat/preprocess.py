@@ -17,8 +17,9 @@ Techniques, applied to fixpoint (bounded by ``max_rounds``):
   resolvent set is empty).
 * **subsumption and self-subsuming resolution** — a clause ``C ⊆ D``
   deletes ``D``; a clause ``C = {l} ∪ A`` with ``D ⊇ {-l} ∪ A``
-  strengthens ``D`` to ``D \\ {-l}``.  Signature-based filtering keeps
-  the candidate scans cheap.
+  strengthens ``D`` to ``D \\ {-l}``.  Both kinds of partner turn up in
+  one signature-filtered scan over the occurrences of ``C``'s two rarest
+  literals (see :meth:`_Simplifier.subsumption_round`).
 * **equivalent-literal substitution** — strongly connected components of
   the binary implication graph are collapsed onto one representative per
   class.  Tseitin instances are full of these: every unit-forced XOR
@@ -26,7 +27,14 @@ Techniques, applied to fixpoint (bounded by ``max_rounds``):
   definition into a pair of equivalences.
 * **bounded variable elimination (NiVER/SatELite)** — a variable whose
   non-tautological resolvent set is no larger than the clause set it
-  replaces is resolved away.
+  replaces is resolved away.  A sweep looks only at *dirty* variables,
+  those whose occurrence lists changed since the last look: any other
+  would be rejected again.
+
+**Work done once.**  Each later round revisits only what earlier rounds
+changed, yet the output — simplified clauses in order, reconstruction
+records, stats and DRAT lines — is identical to that of full passes.
+The test suite keeps the full passes as a reference and checks this.
 
 **Frozen variables.**  Simplification must not outrun the caller's
 interface to the formula: any variable that later appears in solver
@@ -155,7 +163,11 @@ class PreprocessResult:
 
 
 def _signature(clause: Iterable[int]) -> int:
-    """64-bit subsumption filter: ``sig(C) & ~sig(D)`` nonzero ⇒ C ⊄ D."""
+    """61-bit subsumption filter: ``sig(C) & ~sig(D)`` nonzero ⇒ C ⊄ D.
+
+    Each literal sets one of 61 bits, so a clause missing ``k`` literals
+    of ``C`` leaves at most ``k`` bits of ``sig(C) & ~sig(D)`` set.
+    """
     sig = 0
     for literal in clause:
         sig |= 1 << ((literal * 2 if literal > 0 else -literal * 2 + 1) % 61)
@@ -185,6 +197,9 @@ class _Simplifier:
         self.sigs: list[int] = []  # cached subsumption signatures, per index
         self.touched: list[int] = []  # clauses new/changed since last subsumption
         self.occurs: dict[int, set[int]] = {}
+        # dirty[v]: v's occurrence lists changed since BVE last looked at
+        # v.  Everything starts dirty, so the first sweep visits all.
+        self.dirty = bytearray(b"\x01") * (formula.num_variables + 1)
         self.fixed: dict[int, bool] = {}
         self.unit_queue: list[int] = []
         self.records: list[tuple] = []
@@ -203,13 +218,19 @@ class _Simplifier:
 
     # -- clause bookkeeping ---------------------------------------------------
 
+    # Every change to a clause marks all of its variables dirty: a clause
+    # is in the occurrence lists of each of its literals, and BVE's verdict
+    # on a variable depends on exactly those lists and their clauses.
+
     def _add_clause(self, literals: set[int]) -> int:
         index = len(self.clauses)
         self.clauses.append(literals)
         self.sigs.append(_signature(literals))
         self.touched.append(index)
+        dirty = self.dirty
         for literal in literals:
             self.occurs.setdefault(literal, set()).add(index)
+            dirty[abs(literal)] = 1
         return index
 
     def _remove_clause(self, index: int) -> None:
@@ -217,14 +238,20 @@ class _Simplifier:
         if literals is None:
             return
         self.clauses[index] = None
+        dirty = self.dirty
         for literal in literals:
+            dirty[abs(literal)] = 1
             bucket = self.occurs.get(literal)
             if bucket is not None:
                 bucket.discard(index)
 
     def _unlink_literal(self, index: int, literal: int) -> None:
-        self.clauses[index].discard(literal)
-        self.sigs[index] = _signature(self.clauses[index])
+        clause = self.clauses[index]
+        dirty = self.dirty
+        for other in clause:
+            dirty[abs(other)] = 1
+        clause.discard(literal)
+        self.sigs[index] = _signature(clause)
         bucket = self.occurs.get(literal)
         if bucket is not None:
             bucket.discard(index)
@@ -281,61 +308,89 @@ class _Simplifier:
         as subsumers (backward subsumption); the first round seeds the
         queue with everything.  Returns True when any clause was removed
         or strengthened.
+
+        For a subsumer ``C`` one scan over the occurrences of its two
+        rarest literals ``r1`` and ``r2`` finds both kinds of partner: a
+        superset ``D ⊇ C`` holds ``r1``, and a self-subsumption partner
+        ``D ⊇ (C \\ {l}) ∪ {-l}`` holds ``r1`` (when ``l ≠ r1``) or ``r2``
+        (when ``l = r1``).  Whether ``D`` is a hit depends on ``C`` and
+        ``D`` alone, and applying one hit never makes or unmakes another:
+        a ``D`` is a superset or a partner for one ``l`` at most, and a
+        strengthened ``D`` lacks ``l`` itself.  The hits are applied in
+        the order a scan of ``occurs[r1]`` and then of ``occurs[-l]`` for
+        each ``l`` of ``C`` meets them.
         """
         changed = False
         proof = self.proof
-        queue = [index for index in self.touched if self.clauses[index] is not None]
+        clauses = self.clauses
+        occurs = self.occurs
+        sigs = self.sigs
+        queue = [index for index in self.touched if clauses[index] is not None]
         self.touched = []
         while queue:
             index = queue.pop()
-            clause = self.clauses[index]
+            clause = clauses[index]
             if clause is None:
                 continue
-            sig = self.sigs[index]
-            sigs = self.sigs
-            # Scan candidates through the rarest literal's occurrence list.
-            pivot = min(clause, key=lambda lit: len(self.occurs.get(lit, ())))
-            for other_index in list(self.occurs.get(pivot, ())):
-                if other_index == index:
-                    continue
-                if sig & ~sigs[other_index]:
-                    continue
-                other = self.clauses[other_index]
-                if other is None or len(other) < len(clause):
-                    continue
-                if clause <= other:
-                    if proof is not None:
-                        proof.delete(sorted(other))
-                    self._remove_clause(other_index)
-                    self.stats.subsumed_clauses += 1
-                    changed = True
+            sig = sigs[index]
+            size = len(clause)
+            # The stable sort keeps the first of equally rare literals.
+            first, second = sorted(
+                clause, key=lambda lit: len(occurs.get(lit, ())))[:2]
+            # Partners for l = first hold both second and -first.
+            pool = occurs.get(second, ())
+            negated = occurs.get(-first, ())
+            if len(negated) < len(pool):
+                pool = negated
+            supersets: list[int] = []
+            partners: dict[int, list[int]] = {}  # l -> clauses holding -l
+            # 0 is no literal: the scan of first skips nothing.
+            for scanned, met in ((occurs.get(first, ()), 0), (pool, first)):
+                for other_index in scanned:
+                    # A hit misses at most one literal of C, hence sets
+                    # at most one bit here.
+                    missing = sig & ~sigs[other_index]
+                    if missing & (missing - 1):
+                        continue
+                    other = clauses[other_index]
+                    if met in other or other_index == index or len(other) < size:
+                        continue  # met in the scan of first, C itself, too short
+                    outside = [lit for lit in clause if lit not in other]
+                    if not outside:
+                        supersets.append(other_index)
+                    elif len(outside) == 1 and -outside[0] in other:
+                        partners.setdefault(outside[0], []).append(other_index)
+            for other_index in supersets:
+                if proof is not None:
+                    proof.delete(sorted(clauses[other_index]))
+                self._remove_clause(other_index)
+                self.stats.subsumed_clauses += 1
+                changed = True
+            if not partners:
+                continue
             # Self-subsuming resolution: C = A ∪ {l}, D ⊇ A ∪ {-l}.
-            for literal in list(clause):
-                rest = clause - {literal}
-                rest_sig = _signature(rest)
-                for other_index in list(self.occurs.get(-literal, ())):
-                    if rest_sig & ~sigs[other_index]:
-                        continue
-                    other = self.clauses[other_index]
-                    if other is None or len(other) < len(clause):
-                        continue
-                    if rest <= other:
-                        old = sorted(other) if proof is not None else None
-                        self._unlink_literal(other_index, -literal)
-                        self.stats.strengthened_clauses += 1
-                        changed = True
-                        strengthened = self.clauses[other_index]
-                        if proof is not None:
-                            proof.add(sorted(strengthened))
-                            proof.delete(old)
-                        if len(strengthened) == 1:
-                            self.unit_queue.append(next(iter(strengthened)))
-                            self._remove_clause(other_index)
-                        else:
-                            queue.append(other_index)
-                            self.touched.append(other_index)
-                if self.clauses[index] is None:
-                    break
+            for literal in clause:
+                hits = partners.get(literal)
+                if hits is None:
+                    continue
+                if len(hits) > 1:
+                    wanted = set(hits)
+                    hits = [i for i in occurs[-literal] if i in wanted]
+                for other_index in hits:
+                    other = clauses[other_index]
+                    old = sorted(other) if proof is not None else None
+                    self._unlink_literal(other_index, -literal)
+                    self.stats.strengthened_clauses += 1
+                    changed = True
+                    if proof is not None:
+                        proof.add(sorted(other))
+                        proof.delete(old)
+                    if len(other) == 1:
+                        self.unit_queue.append(next(iter(other)))
+                        self._remove_clause(other_index)
+                    else:
+                        queue.append(other_index)
+                        self.touched.append(other_index)
         return changed
 
     # -- equivalent-literal substitution --------------------------------------
@@ -490,6 +545,7 @@ class _Simplifier:
                     clause.add(new_literal)
                     self.sigs[index] = _signature(clause)
                     self.occurs.setdefault(new_literal, set()).add(index)
+                    self.dirty[abs(new_literal)] = 1
                 if proof is not None:
                     # RUP through the equivalence binary lit -> new_literal
                     # emitted before any rewriting, plus the old clause.
@@ -504,10 +560,22 @@ class _Simplifier:
     # -- bounded variable elimination ----------------------------------------
 
     def eliminate_variables(self, occurrence_limit: int) -> bool:
-        """One NiVER sweep; pure literals fall out as the zero-resolvent
-        case.  Returns True when any variable was eliminated."""
+        """One NiVER sweep over the dirty variables, in ascending order;
+        pure literals fall out as the zero-resolvent case.  Returns True
+        when any variable was eliminated.
+
+        A clean variable's occurrence lists and their clauses are the ones
+        BVE last rejected it on, so looking again would reject it again.
+        A variable dirtied during the sweep is visited later in the same
+        sweep when it lies ahead of the cursor, else in the next one, as
+        a full sweep would.
+        """
         changed = False
+        dirty = self.dirty
         for variable in range(1, self.num_variables + 1):
+            if not dirty[variable]:
+                continue
+            dirty[variable] = 0
             if variable in self.frozen or variable in self.fixed:
                 continue
             pos = self.occurs.get(variable, set())
@@ -521,11 +589,14 @@ class _Simplifier:
             resolvents: list[set[int]] = []
             acceptable = True
             for positive in pos_clauses:
+                rest = positive - {variable}
+                # No clause is a tautology, so a resolvent is one exactly
+                # when the negative side holds the negation of some rest.
+                clashes = {-literal for literal in rest}
                 for negative in neg_clauses:
-                    resolvent = (positive - {variable}) | (negative - {-variable})
-                    if any(-literal in resolvent for literal in resolvent):
+                    if not clashes.isdisjoint(negative):
                         continue
-                    resolvents.append(resolvent)
+                    resolvents.append(rest | (negative - {-variable}))
                     if len(resolvents) > len(pos) + len(neg):
                         acceptable = False
                         break

@@ -64,7 +64,9 @@ lower activity, so they pop later.  The pick is therefore exactly the
 argmax of ``(activity, -variable)`` over free in-use variables.  Stale
 keys still accumulate with bumps, so once the heap exceeds
 ``_HEAP_SLACK * num_vars`` entries it is rebuilt with one entry per in-use
-variable; the VSIDS rescale reuses the same rebuild.
+variable; the VSIDS rescale reuses the same rebuild.  Conflict analysis
+inlines the bump and checks that limit once per conflict, not once per
+bump: stale keys never change a pick, so neither does when they go.
 
 Literals are DIMACS integers at the API boundary and are encoded internally
 as ``2*v`` (positive) / ``2*v + 1`` (negative) for array indexing.
@@ -524,20 +526,26 @@ class CdclSolver:
     # -- branching ------------------------------------------------------------------
 
     def _bump_variable(self, variable: int) -> None:
+        """Bump one variable.  Conflict analysis inlines these steps and
+        checks the heap limit once per conflict instead."""
         activity = self.activity
         activity[variable] += self.var_inc
         if activity[variable] > _ACTIVITY_RESCALE:
-            for v in range(1, self.num_vars + 1):
-                activity[v] *= 1e-100
-            self.var_inc *= 1e-100
-            # Queued entries still carry pre-rescale keys that would
-            # outrank every later push: requeue at current activities.
-            self._rebuild_order_heap()
+            self._rescale_activities()
             return
         self.queued[variable] = 1
         heapq.heappush(self.order_heap, (-activity[variable], variable))
         if len(self.order_heap) > self._heap_limit:
             self._rebuild_order_heap()
+
+    def _rescale_activities(self) -> None:
+        activity = self.activity
+        for v in range(1, self.num_vars + 1):
+            activity[v] *= 1e-100
+        self.var_inc *= 1e-100
+        # Queued entries still carry pre-rescale keys that would outrank
+        # every later push: requeue at current activities.
+        self._rebuild_order_heap()
 
     def _rebuild_order_heap(self) -> None:
         """Replace the heap by one current-activity entry per in-use variable."""
@@ -585,6 +593,11 @@ class CdclSolver:
         db = self.db
         level = self.level
         reason = self.reason
+        activity = self.activity
+        var_inc = self.var_inc
+        queued = self.queued
+        heap = self.order_heap
+        heappush = heapq.heappush
         learnt: list[int] = [0]
         seen = bytearray(self.num_vars + 1)
         current_level = len(self.trail_lim)
@@ -608,7 +621,15 @@ class CdclSolver:
                 variable = encoded >> 1
                 if not seen[variable] and level[variable] > 0:
                     seen[variable] = 1
-                    self._bump_variable(variable)
+                    # VSIDS bump (_bump_variable, without its heap check).
+                    activity[variable] += var_inc
+                    if activity[variable] > _ACTIVITY_RESCALE:
+                        self._rescale_activities()
+                        var_inc = self.var_inc
+                        heap = self.order_heap
+                    else:
+                        queued[variable] = 1
+                        heappush(heap, (-activity[variable], variable))
                     if level[variable] >= current_level:
                         path_count += 1
                     else:
@@ -623,6 +644,10 @@ class CdclSolver:
                 break
             cref = reason[variable]
 
+        # Stale keys never change a pick (see "Hot-loop layout"), so the
+        # heap may overshoot its limit until the conflict is analyzed.
+        if len(self.order_heap) > self._heap_limit:
+            self._rebuild_order_heap()
         learnt[0] = resolved_lit ^ 1
 
         # Minimization: drop literals whose reasons lie entirely inside the

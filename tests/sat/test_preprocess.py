@@ -1,17 +1,27 @@
 """Preprocessing correctness: equisatisfiability against the DPLL
-reference, model reconstruction onto the original formula, and the
+reference, model reconstruction onto the original formula, the
 frozen-variable contract (assumptions and late clause additions keep
-their meaning on the simplified instance)."""
+their meaning on the simplified instance), and output identical line for
+line to the full-sweep reference on random and descent-built inputs."""
 
+import dataclasses
+import hashlib
+import importlib
+import json
+import os
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import FermihedralConfig
+from repro.core.pipeline import FermihedralCompiler
 from repro.sat import (
     CdclSolver,
     CnfFormula,
+    ProofLog,
     dpll_solve,
     evaluate_formula,
     preprocess,
@@ -202,3 +212,238 @@ class TestIdempotence:
             CdclSolver(twice.formula).solve().status
             == CdclSolver(once.formula).solve().status
         )
+
+
+# -- incremental passes against the full-sweep reference ---------------------
+
+_preprocess_module = importlib.import_module("repro.sat.preprocess")
+
+
+class _FullSweepSimplifier(_preprocess_module._Simplifier):
+    """The reference the incremental passes must match line for line:
+    BVE looks at every variable in every round, and self-subsumption
+    scans ``occurs[-l]`` once per literal ``l`` of the subsumer."""
+
+    def subsumption_round(self) -> bool:
+        changed = False
+        proof = self.proof
+        queue = [index for index in self.touched if self.clauses[index] is not None]
+        self.touched = []
+        while queue:
+            index = queue.pop()
+            clause = self.clauses[index]
+            if clause is None:
+                continue
+            sig = self.sigs[index]
+            sigs = self.sigs
+            pivot = min(clause, key=lambda lit: len(self.occurs.get(lit, ())))
+            for other_index in list(self.occurs.get(pivot, ())):
+                if other_index == index:
+                    continue
+                if sig & ~sigs[other_index]:
+                    continue
+                other = self.clauses[other_index]
+                if other is None or len(other) < len(clause):
+                    continue
+                if clause <= other:
+                    if proof is not None:
+                        proof.delete(sorted(other))
+                    self._remove_clause(other_index)
+                    self.stats.subsumed_clauses += 1
+                    changed = True
+            for literal in list(clause):
+                rest = clause - {literal}
+                rest_sig = _preprocess_module._signature(rest)
+                for other_index in list(self.occurs.get(-literal, ())):
+                    if rest_sig & ~sigs[other_index]:
+                        continue
+                    other = self.clauses[other_index]
+                    if other is None or len(other) < len(clause):
+                        continue
+                    if rest <= other:
+                        old = sorted(other) if proof is not None else None
+                        self._unlink_literal(other_index, -literal)
+                        self.stats.strengthened_clauses += 1
+                        changed = True
+                        strengthened = self.clauses[other_index]
+                        if proof is not None:
+                            proof.add(sorted(strengthened))
+                            proof.delete(old)
+                        if len(strengthened) == 1:
+                            self.unit_queue.append(next(iter(strengthened)))
+                            self._remove_clause(other_index)
+                        else:
+                            queue.append(other_index)
+                            self.touched.append(other_index)
+                if self.clauses[index] is None:
+                    break
+        return changed
+
+    def eliminate_variables(self, occurrence_limit: int) -> bool:
+        changed = False
+        for variable in range(1, self.num_variables + 1):
+            if variable in self.frozen or variable in self.fixed:
+                continue
+            pos = self.occurs.get(variable, set())
+            neg = self.occurs.get(-variable, set())
+            if not pos and not neg:
+                continue
+            if len(pos) + len(neg) > occurrence_limit:
+                continue
+            pos_clauses = [self.clauses[i] for i in pos]
+            neg_clauses = [self.clauses[i] for i in neg]
+            resolvents: list[set[int]] = []
+            acceptable = True
+            for positive in pos_clauses:
+                for negative in neg_clauses:
+                    resolvent = (positive - {variable}) | (negative - {-variable})
+                    if any(-literal in resolvent for literal in resolvent):
+                        continue
+                    resolvents.append(resolvent)
+                    if len(resolvents) > len(pos) + len(neg):
+                        acceptable = False
+                        break
+                if not acceptable:
+                    break
+            if not acceptable:
+                continue
+            saved = [tuple(sorted(clause)) for clause in pos_clauses + neg_clauses]
+            self.records.append(("elim", variable, saved))
+            self.stats.eliminated_variables += 1
+            if self.proof is not None:
+                for resolvent in resolvents:
+                    self.proof.add(sorted(resolvent))
+                for clause in saved:
+                    self.proof.delete(clause)
+            for index in list(pos) + list(neg):
+                self._remove_clause(index)
+            for resolvent in resolvents:
+                if len(resolvent) == 1:
+                    self.unit_queue.append(next(iter(resolvent)))
+                else:
+                    self._add_clause(resolvent)
+            changed = True
+        return changed
+
+
+def _outcome(formula, frozen=(), simplifier=None, **options):
+    """Everything a preprocessing run emits: simplified clauses in order,
+    reconstruction records, stats and DRAT lines."""
+    log = ProofLog()
+    with mock.patch.object(_preprocess_module, "_Simplifier",
+                           simplifier or _preprocess_module._Simplifier):
+        result = preprocess(formula, frozen=frozen, proof=log, **options)
+    return (list(result.formula.clauses()), result._records,
+            dataclasses.asdict(result.stats), log.lines)
+
+
+def _overlapping_formula(seed: int) -> tuple[CnfFormula, set[int], int]:
+    """A random CNF in which many clauses extend or flip-and-extend an
+    earlier one, so subsumption, self-subsumption and elimination all find
+    work, often in more than one round; plus a random frozen set and BVE
+    occurrence limit."""
+    rng = random.Random(seed)
+    num_vars = rng.randint(4, 24)
+    formula = CnfFormula()
+    formula.new_variables(num_vars)
+
+    def literal():
+        return rng.choice((-1, 1)) * rng.randint(1, num_vars)
+
+    clauses: list[list[int]] = []
+    for _ in range(rng.randint(num_vars, 4 * num_vars)):
+        if clauses and rng.random() < 0.4:
+            clause = list(rng.choice(clauses))
+            if rng.random() < 0.5:
+                flipped = rng.randrange(len(clause))
+                clause[flipped] = -clause[flipped]
+            clause += [literal() for _ in range(rng.randint(0, 2))]
+        else:
+            width = 1 if rng.random() < 0.03 else rng.randint(2, 4)
+            clause = [literal() for _ in range(width)]
+        clauses.append(clause)
+        formula.add_clause(clause)
+    frozen = {rng.randint(1, num_vars) for _ in range(rng.randint(0, num_vars // 3))}
+    return formula, frozen, rng.choice((2, 4, 8, 20))
+
+
+def _assert_matches_reference(seed):
+    formula, frozen, limit = _overlapping_formula(seed)
+    assert _outcome(formula, frozen, bve_occurrence_limit=limit) == _outcome(
+        formula, frozen, _FullSweepSimplifier, bve_occurrence_limit=limit)
+
+
+class TestMatchesFullSweepReference:
+    # Seeds of the rarer paths: a clause strengthened in a later round
+    # makes a variable BVE rejected before eliminable (227, 249), and one
+    # literal has several self-subsumption partners (40, 91).
+    @example(227)
+    @example(249)
+    @example(40)
+    @example(91)
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_same_output_as_reference(self, seed):
+        _assert_matches_reference(seed)
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(
+        not os.environ.get("REPRO_SLOW_TESTS"),
+        reason="wide equivalence sweep only runs with REPRO_SLOW_TESTS=1",
+    )
+    @settings(max_examples=3000, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_same_output_as_reference_wide(self, seed):
+        _assert_matches_reference(seed)
+
+
+# -- golden pins on the descent's own preprocessing inputs --------------------
+
+
+class _Captured(Exception):
+    pass
+
+
+def _descent_input(modes, device, **config):
+    """The formula and frozen set a compile hands to ``preprocess``."""
+    captured = {}
+
+    def capture(formula, frozen=(), **_):
+        captured["formula"] = formula.copy()
+        captured["frozen"] = sorted(frozen)
+        raise _Captured
+
+    compiler = FermihedralCompiler(modes, FermihedralConfig(**config),
+                                   device=device)
+    with mock.patch.object(_preprocess_module, "preprocess", capture):
+        with pytest.raises(_Captured):
+            compiler.compile(method="independent")
+    return captured["formula"], captured["frozen"]
+
+
+class TestGoldenOutputs:
+    """sha256 of :func:`_outcome` on the inputs the descent builds, pinned
+    from the full-sweep implementation.  N=6 on ``linear-6`` runs five
+    rounds and subsumes 186 clauses."""
+
+    @pytest.mark.parametrize("modes, device, config, stats, digest", [
+        (3, "linear-3", {"proof": True},
+         (1215, 1055, 15, 121, 15, 6, 0, 2),
+         "d4b2c03932408671c8100399376504ce8c1f59f45d23a55c83533d537fbce253"),
+        (4, None, {"proof": True},
+         (2380, 2087, 28, 305, 28, 0, 90, 2),
+         "758edee717e6d9ff7746e02a7f3f5e654a9211c821669a1025f05fc779da12bd"),
+        (6, "linear-6", {"algebraic_independence": False},
+         (14954, 13816, 66, 1168, 66, 186, 0, 5),
+         "dde77709b6167241e09836a0a4a3f02ef0dc0d22e17d373c8297b1fd4ed61bfa"),
+    ])
+    def test_descent_input_is_pinned(self, modes, device, config, stats, digest):
+        formula, frozen = _descent_input(modes, device, **config)
+        outcome = _outcome(formula, frozen)
+        summary = outcome[2]
+        assert (summary["original_clauses"], summary["simplified_clauses"],
+                summary["fixed_variables"], summary["eliminated_variables"],
+                summary["substituted_variables"], summary["subsumed_clauses"],
+                summary["strengthened_clauses"], summary["rounds"]) == stats
+        payload = json.dumps(outcome, separators=(",", ":"))
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
