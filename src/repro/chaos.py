@@ -14,9 +14,10 @@ worker processes) or :func:`configure` in tests::
     REPRO_CHAOS="cache.write=once"                # first write fails
     REPRO_CHAOS="solver.slice=after:3:kill"       # 4th+ SAT call kills the worker
     REPRO_CHAOS="cache.read=prob:0.25,http.handler=once"
+    REPRO_CHAOS="job.run@chaos-drill=always"      # only jobs labelled *chaos-drill*
     REPRO_CHAOS_SEED=7                            # seeds the prob: draws
 
-Trigger grammar, per point (``point=trigger[:arg][:kill]``):
+Trigger grammar, per point (``point[@label]=trigger[:arg][:kill]``):
 
 * ``once`` — only the first hit faults; later hits pass.
 * ``always`` — every hit faults.
@@ -24,8 +25,14 @@ Trigger grammar, per point (``point=trigger[:arg][:kill]``):
   drill make *partial* progress before the failure, e.g. checkpoint a
   few descent rungs and then die).
 * ``prob:P`` — each hit faults with probability P, drawn from a
-  deterministic per-(seed, point, hit-index) stream so a failing run
+  deterministic per-(seed, rule, hit-index) stream so a failing run
   replays exactly.
+
+A ``@label`` scope restricts a rule to calls whose label (the job label,
+for ``job.run``) contains that substring: a scoped rule counts and fires
+only on those calls, so one server can fail a drill job while its
+neighbours run clean.  A point may carry an unscoped rule and any number
+of scoped ones; each counts its own hits.
 
 The ``:kill`` modifier turns the fault into ``os._exit(86)`` — a hard
 process death, indistinguishable from SIGKILL to the parent — instead of
@@ -37,10 +44,6 @@ Fault points whose consumers are expected to *degrade* rather than fail
 (cache I/O, checkpoint writes) raise :class:`ChaosIOFault`, an
 ``OSError`` subclass, so the production error handling they claim to
 have actually engages; everything else raises :class:`ChaosFault`.
-
-The legacy ``REPRO_CHAOS_FAIL`` label-substring knob (PR 8's forensics
-drill) is kept as a shim over the ``job.run`` point — see
-:func:`legacy_job_fault`.
 """
 
 from __future__ import annotations
@@ -50,15 +53,11 @@ import random
 import threading
 from dataclasses import dataclass
 
-#: Structured arming spec, e.g. ``"cache.write=once,solver.slice=after:2:kill"``.
+#: Structured arming spec, e.g. ``"cache.write=once,job.run@drill=always"``.
 CHAOS_ENV = "REPRO_CHAOS"
 
 #: Seed of the ``prob:`` trigger's deterministic draws (default 0).
 CHAOS_SEED_ENV = "REPRO_CHAOS_SEED"
-
-#: Legacy knob: when set and its value is a substring of a job's label,
-#: the job's execution body fails before compiling (PR 8 semantics).
-LEGACY_CHAOS_ENV = "REPRO_CHAOS_FAIL"
 
 #: Every named fault point, at the layer where the real failure would hit:
 #: cache entry reads/writes, descent checkpoint persistence, worker-pool
@@ -99,29 +98,43 @@ class ChaosIOFault(ChaosFault, OSError):
 
 @dataclass(frozen=True)
 class FaultRule:
-    """Arming of one fault point: when its hits turn into faults."""
+    """Arming of one fault point: when its hits turn into faults.
+
+    ``label``, when set, scopes the rule to calls whose label contains
+    it; other calls neither count as hits nor fault.
+    """
 
     point: str
     trigger: str = "once"
     after: int = 0
     probability: float = 0.0
     kill: bool = False
+    label: str | None = None
+
+    @property
+    def key(self) -> str:
+        """The rule's name in specs and counters: ``point[@label]``."""
+        return self.point if self.label is None else f"{self.point}@{self.label}"
+
+    def applies(self, label: str | None) -> bool:
+        return self.label is None or self.label in (label or "")
 
     def fires(self, hit: int, seed: int) -> bool:
-        """Whether the ``hit``-th call (1-based) of this point faults."""
+        """Whether the ``hit``-th call (1-based) this rule counts faults."""
         if self.trigger == "once":
             return hit == 1
         if self.trigger == "always":
             return True
         if self.trigger == "after":
             return hit > self.after
-        # prob: one draw per (seed, point, hit) — replayable, order-free.
-        draw = random.Random(f"{seed}:{self.point}:{hit}").random()
+        # prob: one draw per (seed, rule, hit) — replayable, order-free.
+        draw = random.Random(f"{seed}:{self.key}:{hit}").random()
         return draw < self.probability
 
 
 def parse_rules(spec: str) -> dict[str, FaultRule]:
-    """Parse a :data:`CHAOS_ENV` spec into per-point rules.
+    """Parse a :data:`CHAOS_ENV` spec into rules keyed by
+    :attr:`FaultRule.key`.
 
     Raises ``ValueError`` on unknown points or malformed triggers — a
     typoed drill must fail loudly, not silently inject nothing.
@@ -131,8 +144,10 @@ def parse_rules(spec: str) -> dict[str, FaultRule]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        point, sep, trigger_spec = chunk.partition("=")
-        point = point.strip()
+        target, sep, trigger_spec = chunk.partition("=")
+        point, scoped, label = (part.strip() for part in target.partition("@"))
+        if scoped and not label:
+            raise ValueError(f"chaos rule scope needs a label: {chunk!r}")
         if point not in FAULT_POINTS:
             raise ValueError(
                 f"unknown chaos point {point!r}; expected one of {FAULT_POINTS}"
@@ -163,17 +178,19 @@ def parse_rules(spec: str) -> dict[str, FaultRule]:
                 raise ValueError(f"chaos probability out of [0, 1]: {chunk!r}")
         elif len(tokens) != 1:
             raise ValueError(f"chaos trigger {trigger!r} takes no argument: {chunk!r}")
-        rules[point] = FaultRule(
+        rule = FaultRule(
             point=point, trigger=trigger, after=after,
-            probability=probability, kill=kill,
+            probability=probability, kill=kill, label=label or None,
         )
+        rules[rule.key] = rule
     return rules
 
 
 class ChaosEngine:
     """Per-process fault-injection state: rules plus hit/fault counters.
 
-    Counters are process-local by design — a forked worker replays its
+    Counters (``hits``/``faults``, by :attr:`FaultRule.key`) are
+    process-local by design — a forked worker replays its
     own deterministic hit sequence from zero, so e.g.
     ``solver.slice=after:2:kill`` lets *each attempt* of a retried job
     advance two rungs before dying, which is exactly what a
@@ -182,6 +199,10 @@ class ChaosEngine:
 
     def __init__(self, rules: dict[str, FaultRule] | None = None, seed: int = 0):
         self.rules = dict(rules or {})
+        #: point -> its rules, so an unarmed point costs one dict lookup.
+        self._by_point: dict[str, list[FaultRule]] = {}
+        for rule in self.rules.values():
+            self._by_point.setdefault(rule.point, []).append(rule)
         self.seed = seed
         self.hits: dict[str, int] = {}
         self.faults: dict[str, int] = {}
@@ -201,30 +222,35 @@ class ChaosEngine:
     def active(self) -> bool:
         return bool(self.rules)
 
-    def inject(self, point: str, telemetry=None, detail: str = "") -> None:
-        """One pass through ``point``: raise/kill when its rule fires.
+    def inject(self, point: str, telemetry=None,
+               label: str | None = None) -> None:
+        """One pass through ``point``: raise/kill when a rule fires.
 
-        No-op (a dict lookup) when the point is unarmed, so production
-        paths can call this unconditionally.
+        Every rule of the point that applies to ``label`` counts the hit;
+        the first that fires raises.  No-op (a dict lookup) when the point
+        is unarmed, so production paths can call this unconditionally.
         """
-        rule = self.rules.get(point)
-        if rule is None:
+        rules = self._by_point.get(point)
+        if rules is None:
             return
+        fired = None
         with self._lock:
-            hit = self.hits.get(point, 0) + 1
-            self.hits[point] = hit
-            fired = rule.fires(hit, self.seed)
-            if fired:
-                self.faults[point] = self.faults.get(point, 0) + 1
-        if not fired:
+            for rule in rules:
+                if not rule.applies(label):
+                    continue
+                hit = self.hits.get(rule.key, 0) + 1
+                self.hits[rule.key] = hit
+                if fired is None and rule.fires(hit, self.seed):
+                    fired = rule, hit
+                    self.faults[rule.key] = self.faults.get(rule.key, 0) + 1
+        if fired is None:
             return
+        rule, hit = fired
         if telemetry is not None:
             telemetry.counter(
                 "repro_chaos_faults_total", "chaos faults injected, by point"
             ).labels(point=point).inc()
-        message = f"chaos fault injected: point {point} (hit {hit})"
-        if detail:
-            message += f" {detail}"
+        message = f"chaos fault injected: point {rule.key} (hit {hit})"
         if rule.kill:
             os._exit(KILL_EXIT_CODE)
         if point in _IO_POINTS:
@@ -276,26 +302,7 @@ def reset() -> None:
         _engine = None
 
 
-def inject(point: str, telemetry=None, detail: str = "") -> None:
+def inject(point: str, telemetry=None, label: str | None = None) -> None:
     """Module-level convenience over :meth:`ChaosEngine.inject`."""
-    engine().inject(point, telemetry=telemetry, detail=detail)
+    engine().inject(point, telemetry=telemetry, label=label)
 
-
-def legacy_job_fault(label: str | None, telemetry=None) -> None:
-    """The PR 8 ``REPRO_CHAOS_FAIL`` shim, now riding the engine.
-
-    When the legacy variable is set and is a substring of the job label,
-    raises with the exact message shape the original hack produced (the
-    forensics CI drill greps for it).
-    """
-    legacy = os.environ.get(LEGACY_CHAOS_ENV)
-    if legacy and legacy in (label or ""):
-        if telemetry is not None:
-            telemetry.counter(
-                "repro_chaos_faults_total", "chaos faults injected, by point"
-            ).labels(point="job.run").inc()
-        raise ChaosFault(
-            f"chaos fault injected: label {label!r} matches "
-            f"{LEGACY_CHAOS_ENV}={legacy!r}",
-            point="job.run",
-        )

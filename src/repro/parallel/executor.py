@@ -91,19 +91,13 @@ class ProcessBatchExecutor:
             the cache object itself never crosses the process boundary.
         default_config: config for jobs that carry none.
         on_event: :mod:`repro.parallel.events` callback.
-        on_outcome: called with each :class:`~repro.store.batch.JobOutcome`
-            in the parent as soon as its job resolves (fast path included),
-            before the matching ``JobFinished`` event.  Events carry only
-            display data; this hook hands the full outcome — result object
-            and all — to callers that track per-job state incrementally,
-            the way the service daemon feeds its job queue.
         telemetry: a :class:`repro.telemetry.Telemetry` handle.  Worker
             processes then record into their own handle and the executor
             absorbs each job's relay payload (spans tagged with the job
             label, metric deltas merged additively) into this one as the
-            outcome arrives — before ``on_outcome`` runs, which still
-            sees the raw payload on :attr:`~repro.store.batch.JobOutcome
-            .telemetry` for per-job trace storage.
+            outcome arrives.  The raw payload stays on
+            :attr:`~repro.store.batch.JobOutcome.telemetry` of the outcome
+            :meth:`run` returns, for per-job trace storage.
         progress_dir: directory for per-job live progress snapshot files
             (one ``<key>.json`` per in-flight job, atomically replaced
             by the worker, removed by the parent when the job resolves).
@@ -133,7 +127,6 @@ class ProcessBatchExecutor:
         cache: CompilationCache | None = None,
         default_config: FermihedralConfig | None = None,
         on_event: EventCallback | None = None,
-        on_outcome=None,
         telemetry=None,
         progress_dir: str | None = None,
     ):
@@ -143,7 +136,6 @@ class ProcessBatchExecutor:
         self.cache = cache
         self.default_config = default_config or FermihedralConfig()
         self.on_event = on_event
-        self.on_outcome = on_outcome
         self.telemetry = telemetry
         self.progress_dir = progress_dir
         if cache is not None and telemetry is not None:
@@ -190,10 +182,6 @@ class ProcessBatchExecutor:
         if self.on_event is not None:
             self.on_event(event)
 
-    def _deliver(self, outcome: JobOutcome) -> None:
-        if self.on_outcome is not None:
-            self.on_outcome(outcome)
-
     def _job_config(self, job: CompileJob) -> FermihedralConfig:
         return job.config or self.default_config
 
@@ -233,7 +221,6 @@ class ProcessBatchExecutor:
             fast = self._parent_fast_path(job, key)
             if fast is not None:
                 outcomes[key] = fast
-                self._deliver(fast)
                 self._emit(JobStarted(index, total, job.display, key))
                 self._emit(JobFinished(
                     index, total, job.display, key, fast.status,
@@ -294,7 +281,6 @@ class ProcessBatchExecutor:
                     retryable=True,
                 )
                 outcomes[key] = outcome
-                self._deliver(outcome)
                 self._emit(JobFinished(
                     index, total, job.display, key, outcome.status, 0.0,
                     error=outcome.error,
@@ -341,7 +327,6 @@ class ProcessBatchExecutor:
                     except OSError:
                         pass
                 outcomes[key] = outcome
-                self._deliver(outcome)
                 self._emit(JobFinished(
                     index, total, job.display, key, outcome.status,
                     outcome.elapsed_s,

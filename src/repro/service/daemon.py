@@ -26,8 +26,8 @@ Design points, in the order a submission meets them:
 * **No head-of-line blocking.**  The dispatcher hands out one job per
   free worker slot the moment both exist; a slow descent occupies its
   slot and nothing else.  Short jobs submitted behind it finish first,
-  and their polls say so immediately (the executor's ``on_outcome`` hook
-  finalizes each record the instant its job resolves).
+  and their polls say so immediately (each slot thread finalizes its
+  record the instant its job's run returns).
 * **Failures are isolated.**  A job that blows up inside a worker marks
   only its own record ``failed``; a hard worker crash breaks at most the
   jobs in flight on the broken pool, and the executor replaces that pool
@@ -43,9 +43,14 @@ Design points, in the order a submission meets them:
   every bound.  Deterministic failures (a job exception) stay final on
   the first attempt.
 * **Memory is bounded.**  Finished records beyond ``max_records`` are
-  evicted oldest-first (their results live in the cache; resubmitting an
-  evicted key is answered as a synchronous cache hit), so a long-lived
-  daemon's registry cannot grow without bound.
+  evicted oldest-first, trace and forensics dump with them (their
+  results live in the cache; resubmitting an evicted key is answered as
+  a synchronous cache hit), so a long-lived daemon's registry cannot
+  grow without bound.
+* **One index.**  ``_records`` is the only per-job table, and its dict
+  order is first-submission order.  Every per-job read resolves an id
+  the same way (:meth:`CompilationService._resolve`: exact id, then a
+  unique prefix), so a prefix names the same record on every endpoint.
 * **Shutdown drains.**  ``shutdown(drain=True)`` stops intake (503),
   finishes every accepted job, then lets the dispatcher exit;
   ``drain=False`` also cancels the still-queued jobs.  Jobs already on a
@@ -232,14 +237,11 @@ class CompilationService:
         self.stats = ServiceStats()
         self.started_at = time.time()
 
+        #: job id -> record, in first-submission order.
         self._records: dict[str, JobRecord] = {}
-        self._order: deque[str] = deque()
         #: ``(key, attempt)`` in completion order — the eviction queue.
         self._finished_order: deque[tuple[str, int]] = deque()
         self._queue: deque[str] = deque()
-        #: key -> attempt currently on a worker; guards against a stale
-        #: outcome finishing a record that was requeued in the meantime.
-        self._inflight: dict[str, int] = {}
         #: key -> monotonic instant its scheduled retry becomes dispatchable.
         self._retry_ready: dict[str, float] = {}
         #: Solver-side durations of recent finishes — the drain-rate
@@ -262,12 +264,6 @@ class CompilationService:
         self.telemetry = telemetry
         if cache is not None:
             cache.set_telemetry(telemetry)
-        #: job id -> relayed span events of its last finished attempt
-        #: (evicted in lockstep with the record registry).
-        self._traces: dict[str, list[dict]] = {}
-        #: job id -> flight-recorder dump of its last *failed* attempt
-        #: (evicted in lockstep with the record registry).
-        self._forensics: dict[str, dict] = {}
         #: Scratch directory for worker-side live progress snapshot
         #: files; created in :meth:`start` on the process engine.
         self._progress_dir: str | None = None
@@ -328,7 +324,6 @@ class CompilationService:
                 jobs=self.jobs,
                 cache=self.cache,
                 default_config=self.default_config,
-                on_outcome=self._handle_outcome,
                 telemetry=self.telemetry,
                 progress_dir=self._progress_dir,
             ).__enter__()
@@ -461,8 +456,8 @@ class CompilationService:
         if previous is not None:
             record.submissions = previous.submissions + 1
             record.attempt = previous.attempt + 1
-        else:
-            self._order.append(key)
+            record.trace = previous.trace
+            record.forensics = previous.forensics
         self._records[key] = record
         self._active_count += 1
         return record
@@ -529,7 +524,6 @@ class CompilationService:
                 record = self._records[key]
                 record.status = RUNNING
                 record.started_at = time.time()
-                self._inflight[key] = record.attempt
                 self._active_runs += 1
                 job = record.job
                 self._emit_job_event(key, RUNNING, label=job.display)
@@ -572,28 +566,23 @@ class CompilationService:
                               telemetry=self.telemetry)
 
     def _handle_outcome(self, outcome: JobOutcome) -> None:
-        """Terminal bookkeeping for one job (idempotent; called from the
-        executor's ``on_outcome`` hook as each job resolves, and again
-        defensively from the slot thread)."""
+        """Terminal bookkeeping for one dispatched job, from its slot
+        thread: a running record is owned by that thread alone, so its
+        outcome arrives exactly once."""
         with self._wake:
-            record = self._records.get(outcome.key)
-            if record is None or record.finished:
-                return
-            if self._inflight.get(outcome.key) != record.attempt:
-                return  # stale outcome from a superseded attempt
-            del self._inflight[outcome.key]
+            record = self._records[outcome.key]
             if outcome.telemetry and outcome.telemetry.get("events"):
-                self._traces[outcome.key] = outcome.telemetry["events"]
+                record.trace = outcome.telemetry["events"]
             if self._should_retry(record, outcome):
                 self._schedule_retry(record, outcome)
                 return
             if outcome.forensics:
-                self._forensics[outcome.key] = outcome.forensics
+                record.forensics = outcome.forensics
             elif outcome.status == "error":
                 # A hard crash (broken pool, killed worker) brings no
                 # recorder dump home — synthesize a minimal one so
                 # ``GET /jobs/<id>/forensics`` still answers.
-                self._forensics[outcome.key] = {
+                record.forensics = {
                     "captured_at": time.time(),
                     "error": outcome.error,
                     "events": [],
@@ -617,8 +606,7 @@ class CompilationService:
     def _schedule_retry(self, record: JobRecord, outcome: JobOutcome) -> None:
         """Requeue a retryably-failed record with backoff (lock held).
         The record stays active (it still occupies queue capacity) and
-        its attempt generation is bumped, so any stale outcome from the
-        dead attempt is ignored."""
+        its attempt generation is bumped."""
         record.retries += 1
         record.attempt += 1
         record.status = QUEUED
@@ -688,17 +676,9 @@ class CompilationService:
                     or record.attempt != attempt:
                 continue  # stale entry: already evicted or requeued since
             del self._records[key]
-            self._traces.pop(key, None)
-            self._forensics.pop(key, None)
             self.telemetry.progress.forget(key)
             self.stats.evicted += 1
             excess -= 1
-        # _order keeps evicted keys as tombstones (readers skip them);
-        # compact once they dominate.
-        if len(self._order) > 2 * (len(self._records) + 1):
-            self._order = deque(
-                key for key in self._order if key in self._records
-            )
 
     # -- introspection --------------------------------------------------------
 
@@ -706,29 +686,31 @@ class CompilationService:
         with self._wake:
             return self._records.get(job_id)
 
-    def find(self, prefix: str) -> list[JobRecord]:
-        """Records whose id starts with ``prefix`` (CLI convenience)."""
-        with self._wake:
-            return [
-                self._records[key] for key in self._order
-                if key in self._records and key.startswith(prefix)
-            ]
+    def _resolve(self, job_id: str) -> JobRecord | None:
+        """The record named by an exact id or a unique id prefix (lock
+        held); ``None`` when nothing matches.  Raises
+        :class:`AmbiguousJobIdError` when a prefix matches several."""
+        record = self._records.get(job_id)
+        if record is not None or not job_id:
+            return record
+        matches = [key for key in self._records if key.startswith(job_id)]
+        if len(matches) > 1:
+            raise AmbiguousJobIdError(
+                f"job id prefix {job_id!r} is ambiguous "
+                f"({len(matches)} matches)"
+            )
+        return self._records[matches[0]] if matches else None
 
     def records(self) -> list[JobRecord]:
         """All records, in first-submission order."""
         with self._wake:
-            return [
-                self._records[key] for key in self._order
-                if key in self._records
-            ]
+            return list(self._records.values())
 
     def jobs_wire(self) -> list[dict]:
         """Summaries of every record, in first-submission order."""
         with self._wake:
-            return [
-                self._records[key].to_wire(include_result=False)
-                for key in self._order if key in self._records
-            ]
+            return [record.to_wire(include_result=False)
+                    for record in self._records.values()]
 
     def record_wire(self, record: JobRecord, include_result: bool = True) -> dict:
         """A record's wire form, serialized under the service lock so a
@@ -736,11 +718,6 @@ class CompilationService:
         view (``status: done`` with no result)."""
         with self._wake:
             return record.to_wire(include_result)
-
-    def job_wire(self, job_id: str, include_result: bool = True) -> dict | None:
-        with self._wake:
-            record = self._records.get(job_id)
-            return None if record is None else record.to_wire(include_result)
 
     def lookup_wire(self, job_id: str,
                     include_result: bool = True) -> dict | None:
@@ -756,18 +733,7 @@ class CompilationService:
         started = time.monotonic()
         try:
             with self._wake:
-                record = self._records.get(job_id)
-                if record is None and job_id:
-                    matches = [
-                        self._records[key] for key in self._order
-                        if key in self._records and key.startswith(job_id)
-                    ]
-                    if len(matches) > 1:
-                        raise AmbiguousJobIdError(
-                            f"job id prefix {job_id!r} is ambiguous "
-                            f"({len(matches)} matches)"
-                        )
-                    record = matches[0] if matches else None
+                record = self._resolve(job_id)
                 if record is not None:
                     return record.to_wire(include_result)
             return self._cache_wire(job_id, include_result)
@@ -832,22 +798,13 @@ class CompilationService:
         return self.telemetry.render_metrics()
 
     def trace_wire(self, job_id: str) -> dict | None:
-        """A finished job's relayed span events, by exact id or prefix."""
+        """A finished job's relayed span events, by exact id or unique
+        prefix (``None`` when no record or no trace)."""
         with self._wake:
-            key, events = job_id, self._traces.get(job_id)
-            if events is None and job_id:
-                matches = [k for k in self._traces if k.startswith(job_id)]
-                if len(matches) > 1:
-                    raise AmbiguousJobIdError(
-                        f"job id prefix {job_id!r} is ambiguous "
-                        f"({len(matches)} traces)"
-                    )
-                if matches:
-                    key = matches[0]
-                    events = self._traces[key]
-            if events is None:
+            record = self._resolve(job_id)
+            if record is None or record.trace is None:
                 return None
-            return {"id": key, "events": list(events)}
+            return {"id": record.id, "events": list(record.trace)}
 
     def progress_wire(self, job_id: str) -> dict | None:
         """A job's live progress snapshot, by exact id or unique prefix.
@@ -859,18 +816,7 @@ class CompilationService:
         rate mid-descent.  ``None`` when the id resolves to no record.
         """
         with self._wake:
-            record = self._records.get(job_id)
-            if record is None and job_id:
-                matches = [
-                    self._records[key] for key in self._order
-                    if key in self._records and key.startswith(job_id)
-                ]
-                if len(matches) > 1:
-                    raise AmbiguousJobIdError(
-                        f"job id prefix {job_id!r} is ambiguous "
-                        f"({len(matches)} matches)"
-                    )
-                record = matches[0] if matches else None
+            record = self._resolve(job_id)
             if record is None:
                 return None
             key, status = record.id, record.status
@@ -895,22 +841,13 @@ class CompilationService:
         return bus.since(since, limit=limit)
 
     def forensics_wire(self, job_id: str) -> dict | None:
-        """A failed job's flight-recorder dump, by exact id or prefix."""
+        """A failed job's flight-recorder dump, by exact id or unique
+        prefix (``None`` when no record or no dump)."""
         with self._wake:
-            key, dump = job_id, self._forensics.get(job_id)
-            if dump is None and job_id:
-                matches = [k for k in self._forensics if k.startswith(job_id)]
-                if len(matches) > 1:
-                    raise AmbiguousJobIdError(
-                        f"job id prefix {job_id!r} is ambiguous "
-                        f"({len(matches)} forensics dumps)"
-                    )
-                if matches:
-                    key = matches[0]
-                    dump = self._forensics[key]
-            if dump is None:
+            record = self._resolve(job_id)
+            if record is None or record.forensics is None:
                 return None
-            return {"id": key, "forensics": dump}
+            return {"id": record.id, "forensics": record.forensics}
 
     def proof_wire(self, job_id: str) -> dict | None:
         """A finished job's proof metadata plus its stored DRAT trace.

@@ -76,6 +76,14 @@ class JobRecord:
         submissions: how many submissions collapsed onto this record.
         submitted_at / started_at / finished_at: wall-clock timestamps
             (``time.time``); ``elapsed_s`` is the solver-side duration.
+        trace: relayed span events of the last attempt that brought any
+            home (``GET /debug/trace/<id>``).
+        forensics: flight-recorder dump of the last *failed* attempt
+            (``GET /jobs/<id>/forensics``).
+
+    A resubmitted failed key gets a fresh record that keeps ``trace``
+    and ``forensics``; eviction drops them with the record.  Neither is
+    part of :meth:`to_wire`.
     """
 
     id: str
@@ -91,12 +99,15 @@ class JobRecord:
     finished_at: float | None = None
     elapsed_s: float = 0.0
     #: Dispatch generation — bumped when a failed record is requeued, so
-    #: a stale outcome from a superseded attempt cannot finish the fresh one.
+    #: the daemon's eviction queue can tell a finish of an earlier
+    #: generation from the current one.
     attempt: int = field(default=0)
     #: Supervised-retry count: how many times the daemon requeued this
     #: record after a retryable failure (distinct from ``attempt``, which
     #: also counts client resubmissions of a failed key).
     retries: int = field(default=0)
+    trace: list[dict] | None = None
+    forensics: dict | None = None
 
     @property
     def finished(self) -> bool:

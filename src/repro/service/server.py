@@ -206,13 +206,26 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         elif path.startswith("/jobs/") and path.endswith("/proof"):
             self._get_proof(path[len("/jobs/"):-len("/proof")])
         elif path.startswith("/jobs/") and path.endswith("/progress"):
-            self._get_progress(path[len("/jobs/"):-len("/progress")])
+            self._send_lookup(path[len("/jobs/"):-len("/progress")],
+                              self.service.progress_wire)
         elif path.startswith("/jobs/") and path.endswith("/forensics"):
-            self._get_forensics(path[len("/jobs/"):-len("/forensics")])
+            self._send_lookup(
+                path[len("/jobs/"):-len("/forensics")],
+                self.service.forensics_wire,
+                "no forensics for job: {!r} (dumps exist only for failed "
+                "jobs still in the registry)",
+            )
         elif path.startswith("/jobs/"):
-            self._get_job(path[len("/jobs/"):], query)
+            include_result = "result=0" not in query
+            self._send_lookup(
+                path[len("/jobs/"):],
+                lambda job_id: self.service.lookup_wire(
+                    job_id, include_result=include_result
+                ),
+            )
         elif path.startswith("/debug/trace/"):
-            self._get_trace(path[len("/debug/trace/"):])
+            self._send_lookup(path[len("/debug/trace/"):],
+                              self.service.trace_wire, "no trace for job: {!r}")
         else:
             self._send_error_json(f"no such endpoint: {path}", 404)
 
@@ -234,70 +247,35 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             since=since, timeout=timeout, limit=limit
         ))
 
-    def _get_progress(self, job_id: str) -> None:
+    def _lookup(self, job_id: str, fetch,
+                missing: str = "no such job: {!r}") -> dict | None:
+        """``fetch(job_id)`` for one per-job GET, or ``None`` once the
+        error is sent: 409 on an ambiguous id prefix, 404 (``missing``,
+        formatted with the id) when the id resolves to nothing."""
         try:
-            payload = self.service.progress_wire(job_id)
+            payload = fetch(job_id)
         except ServiceRejection as rejection:  # ambiguous prefix
             self._send_error_json(str(rejection), rejection.http_status)
-            return
+            return None
         if payload is None:
-            self._send_error_json(f"no such job: {job_id!r}", 404)
-            return
-        self._send_json(payload)
+            self._send_error_json(missing.format(job_id), 404)
+        return payload
 
-    def _get_forensics(self, job_id: str) -> None:
-        try:
-            payload = self.service.forensics_wire(job_id)
-        except ServiceRejection as rejection:  # ambiguous prefix
-            self._send_error_json(str(rejection), rejection.http_status)
-            return
-        if payload is None:
-            self._send_error_json(
-                f"no forensics for job: {job_id!r} (dumps exist only for "
-                "failed jobs still in the registry)", 404
-            )
-            return
-        self._send_json(payload)
+    def _send_lookup(self, job_id: str, fetch,
+                     missing: str = "no such job: {!r}") -> None:
+        payload = self._lookup(job_id, fetch, missing)
+        if payload is not None:
+            self._send_json(payload)
 
     def _get_proof(self, job_id: str) -> None:
-        try:
-            payload = self.service.proof_wire(job_id)
-        except ServiceRejection as rejection:  # ambiguous prefix
-            self._send_error_json(str(rejection), rejection.http_status)
-            return
+        payload = self._lookup(job_id, self.service.proof_wire)
         if payload is None:
-            self._send_error_json(f"no such job: {job_id!r}", 404)
             return
         if payload.get("proof") is None:
             self._send_error_json(
                 f"job {job_id!r} captured no proof (submit with "
                 '{"config": {"proof": true}})', 404
             )
-            return
-        self._send_json(payload)
-
-    def _get_trace(self, job_id: str) -> None:
-        try:
-            payload = self.service.trace_wire(job_id)
-        except ServiceRejection as rejection:  # ambiguous prefix
-            self._send_error_json(str(rejection), rejection.http_status)
-            return
-        if payload is None:
-            self._send_error_json(f"no trace for job: {job_id!r}", 404)
-            return
-        self._send_json(payload)
-
-    def _get_job(self, job_id: str, query: str) -> None:
-        include_result = "result=0" not in query
-        try:
-            payload = self.service.lookup_wire(
-                job_id, include_result=include_result
-            )
-        except ServiceRejection as rejection:  # ambiguous prefix
-            self._send_error_json(str(rejection), rejection.http_status)
-            return
-        if payload is None:
-            self._send_error_json(f"no such job: {job_id!r}", 404)
             return
         self._send_json(payload)
 

@@ -57,13 +57,6 @@ JOB_STATUSES = (
     "compiled", "warm-start", "cache-hit", "deduplicated", "degraded", "error",
 )
 
-#: Legacy chaos knob (pre-``repro.chaos``): when this environment
-#: variable is set and its value is a substring of a job's *label*, the
-#: execution body raises before compiling.  Kept as a back-compat shim —
-#: structured drills use :data:`repro.chaos.CHAOS_ENV` and its named
-#: fault points instead.  Workers inherit either through fork.
-CHAOS_ENV = chaos.LEGACY_CHAOS_ENV
-
 #: Accepted spellings of the compile methods in job specs — the CLI's
 #: ``--method``, batch job files, and the service wire format all share
 #: this table so a method means the same thing on every front door.
@@ -449,8 +442,7 @@ def run_compile_job(
                    if progress is not None else nullcontext())
     try:
         with job_context:
-            chaos.inject("job.run", telemetry=telemetry)
-            chaos.legacy_job_fault(job.label, telemetry=telemetry)
+            chaos.inject("job.run", telemetry=telemetry, label=job.label)
             compiler = FermihedralCompiler(
                 job.modes, config, cache=cache, device=job.device,
                 telemetry=telemetry,

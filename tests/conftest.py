@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
+from repro import chaos
 from repro.core import FermihedralConfig, SolverBudget
 from repro.paulis import PauliString
 
@@ -48,3 +49,20 @@ def fast_noalg_config() -> FermihedralConfig:
         algebraic_independence=False,
         budget=SolverBudget(max_conflicts=200_000, time_budget_s=60),
     )
+
+
+@pytest.fixture
+def arm_chaos():
+    """Arm ``REPRO_CHAOS`` for one test: ``arm_chaos("job.run@drill=always")``.
+
+    Arming drops the parsed engine so the next fault point re-reads the
+    variable.  Teardown restores the environment first and then drops the
+    engine again, so no armed rule outlives the test.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        def _arm(spec: str) -> None:
+            patch.setenv(chaos.CHAOS_ENV, spec)
+            chaos.reset()
+
+        yield _arm
+    chaos.reset()

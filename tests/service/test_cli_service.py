@@ -166,10 +166,8 @@ class TestWatchCommand:
         assert "done" in out
 
     def test_watch_failed_job_exits_one(self, live_server, capsys,
-                                        monkeypatch):
-        from repro.store.batch import CHAOS_ENV
-
-        monkeypatch.setenv(CHAOS_ENV, "chaos")
+                                        arm_chaos):
+        arm_chaos("job.run@chaos=always")
         assert main([
             "submit", "--url", live_server, "--modes", "2",
             "--label", "chaos-drill",
@@ -186,10 +184,8 @@ class TestWatchCommand:
 
 class TestForensicsCommand:
     def test_forensics_of_a_chaos_failure(self, live_server, capsys,
-                                          monkeypatch):
-        from repro.store.batch import CHAOS_ENV
-
-        monkeypatch.setenv(CHAOS_ENV, "chaos")
+                                          arm_chaos):
+        arm_chaos("job.run@chaos=always")
         assert main([
             "submit", "--url", live_server, "--modes", "2",
             "--label", "chaos-drill",

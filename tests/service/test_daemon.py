@@ -217,6 +217,31 @@ class TestRegistryEviction:
         assert service.wait_for(active.id, timeout=10.0).status == "done"
         service.shutdown(wait=True)
 
+    def test_resubmitted_evicted_job_is_one_record(self, tmp_path):
+        cache = CompilationCache(tmp_path / "cache")
+
+        def runner(batch):
+            outcomes = {key: compiled_outcome(key, job) for key, job in batch}
+            for key, outcome in outcomes.items():
+                cache.put(key, outcome.result)
+            return outcomes
+
+        service = _service(runner, cache=cache, max_records=2)
+        first, _ = service.submit(_spec(2))
+        for record in (first, service.submit(_spec(3))[0],
+                       service.submit(_spec(4))[0]):
+            service.wait_for(record.id, timeout=10.0)
+        assert service.get(first.id) is None  # evicted, still cached
+
+        again, deduplicated = service.submit(_spec(2))
+        assert not deduplicated and again.outcome == "cache-hit"
+        assert [r.id for r in service.records()].count(first.id) == 1
+        assert [w["id"] for w in service.jobs_wire()].count(first.id) == 1
+        prefix = first.id[:10]
+        assert service.lookup_wire(prefix)["id"] == first.id
+        assert service.progress_wire(prefix)["id"] == first.id
+        service.shutdown(wait=True)
+
 
 class TestBackpressure:
     def test_queue_limit_rejects_with_429(self):

@@ -237,6 +237,27 @@ class TestEndpoints:
         client.wait(record["id"], timeout=30.0)
         assert client.job(record["id"][:10])["id"] == record["id"]
 
+    def test_ambiguous_prefix_is_409_on_every_job_endpoint(
+        self, serve, fast_config
+    ):
+        client = serve(CompilationService(
+            default_config=fast_config, runner=_stub_runner
+        ))
+        ids = [client.submit({"modes": modes, "method": "independent"})["id"]
+               for modes in range(1, 18)]
+        for job_id in ids:
+            client.wait(job_id, timeout=30.0)
+        # 17 ids over 16 hex digits: some first digit is shared.
+        prefix = next(p for p in "0123456789abcdef"
+                      if sum(i.startswith(p) for i in ids) > 1)
+        for path in (f"/jobs/{prefix}", f"/jobs/{prefix}/progress",
+                     f"/jobs/{prefix}/forensics", f"/jobs/{prefix}/proof",
+                     f"/debug/trace/{prefix}"):
+            with pytest.raises(ServiceError) as excinfo:
+                client._request("GET", path)
+            assert excinfo.value.status == 409, path
+            assert "ambiguous" in str(excinfo.value), path
+
     def test_jobs_listing(self, serve, fast_config):
         client = serve(CompilationService(
             default_config=fast_config, runner=_stub_runner

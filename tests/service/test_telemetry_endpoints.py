@@ -161,6 +161,8 @@ class TestEvictedJobLookup:
 
         evicted = client.job(first["id"])
         assert evicted["source"] == "cache"
+        # The synthesized record spells the registry's wire form.
+        assert set(evicted) == set(client.job(second["id"])) | {"source"}
         assert evicted["status"] == "done"
         assert evicted["outcome"] == "cache-hit"
         assert evicted["weight"] == 6
@@ -267,11 +269,9 @@ class TestEventsEndpoint:
 
 class TestForensicsEndpoint:
     def test_chaos_failure_yields_a_retrievable_dump(
-        self, serve, fast_config, monkeypatch
+        self, serve, fast_config, arm_chaos
     ):
-        from repro.store.batch import CHAOS_ENV
-
-        monkeypatch.setenv(CHAOS_ENV, "chaos")
+        arm_chaos("job.run@chaos=always")
         client = serve(CompilationService(
             default_config=fast_config, jobs=1, use_processes=False,
         ))

@@ -94,14 +94,13 @@ class TestJobRunChaos:
         second = run_compile_job(job, FAST_CONFIG, cache=None, key="k-chaos")
         assert second.status == "compiled"
 
-    def test_legacy_env_still_fails_matching_labels(self, monkeypatch):
-        monkeypatch.setenv(chaos.LEGACY_CHAOS_ENV, "drill")
-        chaos.reset()
+    def test_label_scoped_rule_fails_only_matching_labels(self, arm_chaos):
+        arm_chaos("job.run@drill=always")
         job = CompileJob(num_modes=1, label="chaos-drill")
-        outcome = run_compile_job(job, FAST_CONFIG, cache=None, key="k-legacy")
+        outcome = run_compile_job(job, FAST_CONFIG, cache=None, key="k-drill")
         assert outcome.status == "error"
         assert "chaos fault injected" in outcome.error
-        assert chaos.LEGACY_CHAOS_ENV in outcome.error
+        assert "job.run@drill" in outcome.error
         clean = CompileJob(num_modes=1, label="healthy")
         assert run_compile_job(
             clean, FAST_CONFIG, cache=None, key="k-clean"

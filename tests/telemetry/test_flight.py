@@ -4,8 +4,8 @@ The recorder is the forensics half of the observability story: it rides
 along with a job (as an explicit breadcrumb log and as a progress-bus
 sink), and when the job dies its :meth:`dump` freezes everything a
 post-mortem needs — last events, spans still open, a metrics snapshot,
-and the traceback.  ``REPRO_CHAOS_FAIL`` exists so the whole failure
-path can be drilled on demand.
+and the traceback.  A label-scoped ``REPRO_CHAOS`` rule on ``job.run``
+lets the whole failure path be drilled on demand.
 """
 
 import pytest
@@ -13,7 +13,7 @@ import pytest
 from repro.core.config import FermihedralConfig
 import repro.store.batch as batch_module
 from repro.store import CompileJob
-from repro.store.batch import CHAOS_ENV, run_compile_job
+from repro.store.batch import run_compile_job
 from repro.telemetry import FlightRecorder, ProgressBus, Telemetry
 from repro.telemetry.flight import DEFAULT_MAX_EVENTS
 
@@ -81,8 +81,9 @@ class TestDump:
 
 
 class TestChaosInjection:
-    def test_matching_label_fails_with_forensics(self, monkeypatch):
-        monkeypatch.setenv(CHAOS_ENV, "chaos")
+    def test_matching_label_fails_with_forensics(self, monkeypatch,
+                                                 arm_chaos):
+        arm_chaos("job.run@chaos=always")
         recorders = []
 
         class KeptRecorder(FlightRecorder):
@@ -111,16 +112,16 @@ class TestChaosInjection:
         telemetry.progress.emit("after-the-job")
         assert recorder.events() == before
 
-    def test_non_matching_label_is_untouched(self, monkeypatch):
-        monkeypatch.setenv(CHAOS_ENV, "chaos")
+    def test_non_matching_label_is_untouched(self, arm_chaos):
+        arm_chaos("job.run@chaos=always")
         job = CompileJob(method="independent", num_modes=2, label="healthy")
         outcome = run_compile_job(job, FermihedralConfig(), None, "key-2",
                                   telemetry=Telemetry())
         assert outcome.status == "compiled"
         assert outcome.forensics is None
 
-    def test_chaos_off_by_default(self, monkeypatch):
-        monkeypatch.delenv(CHAOS_ENV, raising=False)
+    def test_chaos_off_by_default(self, arm_chaos):
+        arm_chaos("")
         job = CompileJob(method="independent", num_modes=2,
                          label="chaos-drill")
         outcome = run_compile_job(job, FermihedralConfig(), None, "key-3",

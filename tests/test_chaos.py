@@ -1,4 +1,4 @@
-"""The structured chaos engine: grammar, triggers, typing, and the shim."""
+"""The structured chaos engine: grammar, triggers, typing, and label scopes."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.chaos import (
     CHAOS_ENV,
     CHAOS_SEED_ENV,
     FAULT_POINTS,
-    LEGACY_CHAOS_ENV,
     ChaosEngine,
     ChaosFault,
     ChaosIOFault,
@@ -157,7 +156,7 @@ def test_non_io_points_raise_plain_chaosfault():
 def test_fault_message_carries_the_grep_marker():
     engine = ChaosEngine(parse_rules("job.run=once"))
     with pytest.raises(ChaosFault, match="chaos fault injected"):
-        engine.inject("job.run", detail="(drill)")
+        engine.inject("job.run", label="drill")  # unscoped: any label
 
 
 def test_every_fault_point_parses():
@@ -214,25 +213,36 @@ def test_unset_environment_means_inert(monkeypatch):
         chaos.inject(point)  # all no-ops
 
 
-# -- legacy REPRO_CHAOS_FAIL shim ---------------------------------------------
+# -- label-scoped rules -------------------------------------------------------
 
 
-def test_legacy_fault_matches_substring(monkeypatch):
-    monkeypatch.setenv(LEGACY_CHAOS_ENV, "chaos")
+def test_scoped_rule_fires_only_on_matching_labels(arm_chaos):
+    arm_chaos("job.run@chaos=always")
+    assert chaos.engine().rules["job.run@chaos"] == FaultRule(
+        "job.run", "always", label="chaos"
+    )
     with pytest.raises(ChaosFault) as excinfo:
-        chaos.legacy_job_fault("chaos-drill")
-    # Exact legacy message shape: the CI forensics drill greps for it.
+        chaos.inject("job.run", label="chaos-drill")
+    # The CI forensics drill greps for this marker.
     assert "chaos fault injected" in str(excinfo.value)
-    assert "REPRO_CHAOS_FAIL" in str(excinfo.value)
+    assert "job.run@chaos" in str(excinfo.value)
     assert excinfo.value.point == "job.run"
+    chaos.inject("job.run", label="healthy-job")
+    chaos.inject("job.run")
 
 
-def test_legacy_fault_ignores_other_labels(monkeypatch):
-    monkeypatch.setenv(LEGACY_CHAOS_ENV, "chaos")
-    chaos.legacy_job_fault("healthy-job")
-    chaos.legacy_job_fault(None)
+def test_scoped_rule_counts_only_matching_calls():
+    engine = ChaosEngine(parse_rules("job.run@drill=once,job.run=after:2"))
+    engine.inject("job.run", label="healthy")       # unscoped hit 1
+    engine.inject("job.run")                        # unscoped hit 2
+    with pytest.raises(ChaosFault, match="job.run@drill"):
+        engine.inject("job.run", label="drill-1")   # scoped hit 1 fires
+    assert engine.hits == {"job.run": 3, "job.run@drill": 1}
+    with pytest.raises(ChaosFault, match=r"point job.run \(hit 4\)"):
+        engine.inject("job.run", label="drill-2")   # once spent; after:2 fires
+    assert engine.faults == {"job.run@drill": 1, "job.run": 1}
 
 
-def test_legacy_fault_inert_when_unset(monkeypatch):
-    monkeypatch.delenv(LEGACY_CHAOS_ENV, raising=False)
-    chaos.legacy_job_fault("chaos-drill")
+def test_scoped_rule_needs_a_label():
+    with pytest.raises(ValueError, match="needs a label"):
+        parse_rules("job.run@=always")
