@@ -5,7 +5,7 @@ bond-length sweep does after coefficient-free fingerprinting) compiled
 two ways: the naive serial loop a user would write (one
 ``FermihedralCompiler`` per job, no dedup, no cache) vs the 4-worker
 ``BatchCompiler`` process executor (fingerprint dedup before dispatch,
-shared cache, parent-side fast path).  The reported speedup therefore
+shared cache, final hits answered before dispatch).  The reported speedup therefore
 compounds deduplication with process parallelism — both are things the
 serial loop does not do.  The acceptance bar is >= 1.8x; identical
 weights and optimality proofs across arms are asserted, and ``--jobs 1``

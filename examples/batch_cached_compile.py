@@ -8,6 +8,11 @@ on-disk :class:`CompilationCache`:
 2. Second pass — every job is answered from the cache with zero SAT
    calls, descent traces intact.
 
+The cache keeps no counters of its own: each pass hands the batch a fresh
+:class:`Telemetry` handle and reads the cache activity back from it with
+:func:`cache_counts`.  A job that misses is looked up twice (the batch's
+check for a final hit, then the compile's own lookup), a hit once.
+
 Run:  python examples/batch_cached_compile.py
 """
 
@@ -21,13 +26,17 @@ from repro import (
     SolverBudget,
     hubbard_chain,
 )
+from repro.store import cache_counts
+from repro.telemetry import Telemetry
 
 
 def run_pass(name: str, cache: CompilationCache, jobs: list[CompileJob]) -> None:
     print(f"--- {name} ---")
+    telemetry = Telemetry()
     report = BatchCompiler(
         cache=cache,
         default_config=FermihedralConfig(budget=SolverBudget(time_budget_s=60)),
+        telemetry=telemetry,
     ).compile(jobs)
     for outcome in report.outcomes:
         result = outcome.result
@@ -36,9 +45,9 @@ def run_pass(name: str, cache: CompilationCache, jobs: list[CompileJob]) -> None
               f"sat_calls={result.descent.sat_calls if result else '-'} "
               f"({outcome.elapsed_s:.2f}s)")
     print(f"  {report.summary()} in {report.elapsed_s:.2f}s")
-    stats = cache.stats
-    print(f"  cache: {stats.hits} hits, {stats.misses} misses, "
-          f"{stats.stores} stores\n")
+    counts = cache_counts(telemetry)
+    print(f"  cache: {counts['hits']} hits, {counts['misses']} misses, "
+          f"{counts['stores']} stores\n")
 
 
 def main() -> None:

@@ -33,17 +33,19 @@ cache hits synchronously, and fans the rest across worker processes.
 Parallelism: ``--portfolio N`` races N diversified solver processes on
 every SAT call (deterministic logical-time racing; first definitive
 answer wins); ``batch --jobs N`` fans unique jobs across N worker
-processes with a parent-side cache fast path and a live per-job status
-line on stderr.  SAT instances are simplified before solving
-(``--no-preprocess`` opts out), ``solve --profile`` wraps the whole
-pipeline in cProfile, and ``solve --proof`` captures a DRAT certificate
-of the optimality-proving UNSAT answer that ``repro verify-proof``
-re-checks independently.  ``solve --trace FILE.jsonl`` records the span
-tree of the whole compile (compile → descent → rung → solve) as JSONL
-that ``repro trace show`` renders; a running service additionally
-exposes ``GET /metrics`` (Prometheus text) and ``GET /debug/trace/<id>``,
-and ``repro jobs proof ID`` fetches a served proof and re-checks it
-client-side.
+processes with a live per-job status line on stderr; with ``--cache``,
+final cached results are answered before any worker starts, and the
+closing ``cache:`` line counts each job that misses twice (the batch's
+own lookup, then the compile's) and each final hit once.  SAT instances
+are simplified before solving (``--no-preprocess`` opts out), ``solve
+--profile`` wraps the whole pipeline in cProfile, and ``solve --proof``
+captures a DRAT certificate of the optimality-proving UNSAT answer
+that ``repro verify-proof`` re-checks independently.  ``solve --trace
+FILE.jsonl`` records the span tree of the whole compile (compile →
+descent → rung → solve) as JSONL that ``repro trace show`` renders; a
+running service additionally exposes ``GET /metrics`` (Prometheus text)
+and ``GET /debug/trace/<id>``, and ``repro jobs proof ID`` fetches a
+served proof and re-checks it client-side.
 
 Observability: ``repro top`` is a live ops console over a running
 service (queue depth, worker slots, cache hit ratio, latency quantiles,
@@ -113,6 +115,7 @@ from repro.store import (
     BatchCompiler,
     CompilationCache,
     CompileJob,
+    cache_counts,
     default_cache_dir,
     job_from_spec,
 )
@@ -586,10 +589,14 @@ def _jobs_from_args(args, base_config: FermihedralConfig) -> list[CompileJob]:
 
 def cmd_batch(args) -> int:
     from repro.parallel.events import format_event
+    from repro.telemetry import Telemetry
 
     default_config = _config_from_args(args)
     jobs = _jobs_from_args(args, default_config)
     cache = CompilationCache(args.cache) if args.cache else None
+    # The cache counts into the telemetry handed to it; workers relay
+    # theirs home, so this one handle sees every job on either engine.
+    telemetry = Telemetry() if cache is not None else None
 
     def live_status(event) -> None:
         # Progress goes to stderr so stdout stays a clean result table.
@@ -600,6 +607,7 @@ def cmd_batch(args) -> int:
         default_config=default_config,
         jobs=args.jobs_n,
         on_event=None if args.quiet else live_status,
+        telemetry=telemetry,
     )
     report = compiler.compile(jobs)
 
@@ -638,9 +646,9 @@ def cmd_batch(args) -> int:
             print(f"warning [{outcome.job.display}]: result not cached "
                   f"({outcome.cache_error})", file=sys.stderr)
     if cache is not None:
-        stats = cache.stats
-        print(f"cache: {stats.hits} hits, {stats.misses} misses, "
-              f"{stats.warm_starts} warm starts, {stats.stores} stores "
+        counts = cache_counts(telemetry)
+        print(f"cache: {counts['hits']} hits, {counts['misses']} misses, "
+              f"{counts['warm_starts']} warm starts, {counts['stores']} stores "
               f"({args.cache})")
     return 0 if report.ok else 1
 
@@ -1414,7 +1422,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compile a list of jobs, deduplicated through the cache. "
                     "Jobs with identical fingerprints are compiled once; with "
                     "--cache, results persist across runs and already-final "
-                    "entries short-circuit in the parent. --jobs N fans the "
+                    "entries are answered before any compile starts (the "
+                    "'cache:' line counts a job that misses twice: the "
+                    "batch's lookup, then the compile's). --jobs N fans the "
                     "jobs across N worker processes (real CPU parallelism); "
                     "otherwise they compile one after another in this "
                     "process. Jobs come from a "

@@ -171,7 +171,8 @@ class CacheCheckpointSink(CheckpointSink):
 
     def save(self, checkpoint: DescentCheckpoint) -> bool:
         try:
-            self.cache.put_checkpoint(self.key, checkpoint.to_dict())
+            self.cache.put_checkpoint(self.key, checkpoint.to_dict(),
+                                      telemetry=self.telemetry)
         except OSError:
             if self.telemetry is not None:
                 self.telemetry.counter(

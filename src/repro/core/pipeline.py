@@ -238,9 +238,9 @@ class FermihedralCompiler:
         telemetry: a :class:`repro.telemetry.Telemetry` handle; when
             given, every compile opens a ``compile`` span, the descent and
             solver layers record their own spans and metrics beneath it,
-            and the cache mirrors its hit/miss counters into the handle's
-            registry.  ``None`` (the default) keeps the whole pipeline on
-            its zero-overhead path.
+            and every cache lookup, store and warm start counts into the
+            handle's registry.  ``None`` (the default) keeps the whole
+            pipeline on its zero-overhead path.
 
     After each :meth:`compile` call, :attr:`last_cache_status` records how
     the cache participated: ``"disabled"``, ``"hit"``, ``"warm-start"``,
@@ -272,8 +272,6 @@ class FermihedralCompiler:
         self.config = config or FermihedralConfig()
         self.cache = cache
         self.telemetry = telemetry
-        if cache is not None and telemetry is not None:
-            cache.set_telemetry(telemetry)
         self.device = resolve_device(device)
         self._check_device(self.device)
         self.last_cache_status: str | None = None
@@ -401,14 +399,18 @@ class FermihedralCompiler:
             seed=seed,
             device=topology,
         )
-        cached = self.cache.get(key)
+        cached = self.cache.get(key, telemetry=self.telemetry)
         if cached is not None and self._is_final(cached, method, topology):
             self.last_cache_status = "hit"
             return cached
         baseline = cached.encoding if cached is not None else None
         if baseline is not None:
             self.last_cache_status = "warm-start"
-            self.cache.note_warm_start()
+            if self.telemetry is not None:
+                self.telemetry.counter(
+                    "repro_cache_warm_starts_total",
+                    "cache hits consumed as descent warm starts",
+                ).inc()
         else:
             self.last_cache_status = "miss"
         # The sink shares the entry's fingerprint, so a retried attempt of
@@ -419,7 +421,7 @@ class FermihedralCompiler:
         result = self._finish_hardware(result, topology, hamiltonian, config)
         self._attach_proof(result)
         try:
-            self.cache.put(key, result)
+            self.cache.put(key, result, telemetry=self.telemetry)
         except OSError as error:
             # Persistence is best-effort (see the class docstring): an
             # unwritable or vanished cache directory downgrades to a

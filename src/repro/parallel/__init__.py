@@ -8,8 +8,8 @@ concurrent without giving up reproducibility:
   wins, with logical-time (conflict-budget) rounds so the winner is
   deterministic rather than an OS-scheduling accident.
 * :mod:`repro.parallel.executor` — fan deduplicated batch-compilation
-  jobs across a process pool, with a parent-side cache fast path and
-  per-job failure isolation.
+  jobs across a process pool, with per-job failure isolation.  Cache
+  hits never reach it: the batch and service front doors answer them.
 * :mod:`repro.parallel.events` — the structured progress events both of
   them emit, rendered by the CLI as a live per-job status line.
 """

@@ -32,7 +32,9 @@ class BatchStarted:
 
 @dataclass(frozen=True)
 class JobStarted:
-    """One unique job was handed to a worker (or the parent fast path)."""
+    """One unique job started: answered from the cache at the batch front
+    door, or handed to an engine to compile.  ``index``/``total`` count the
+    batch's unique jobs, front-door hits included."""
 
     index: int
     total: int

@@ -1,18 +1,13 @@
-"""Process-pool batch executor with fingerprint-aware scheduling.
+"""Process-pool batch executor.
 
-:class:`ProcessBatchExecutor` runs *unique* compilation jobs — the batch
-front-end (:class:`repro.store.batch.BatchCompiler`) has already
-fingerprinted and deduplicated them — across a pool of worker processes.
-Scheduling is fingerprint-aware in two places:
-
-* **parent-side cache fast path** — before a job is dispatched at all,
-  the parent consults the shared :class:`~repro.store.cache
-  .CompilationCache`; a final cached result becomes a ``cache-hit``
-  outcome with zero processes involved, so a warm batch costs one JSON
-  read per job;
-* **worker-side warm start** — dispatched jobs run a cache-enabled
-  :class:`~repro.core.pipeline.FermihedralCompiler` against the same
-  cache directory, so unproved entries still seed the descent.
+:class:`ProcessBatchExecutor` runs *unique* compilation jobs across a pool
+of worker processes.  Its callers — the batch front-end
+(:class:`repro.store.batch.BatchCompiler`) and the service daemon — have
+already fingerprinted and deduplicated them, and answered every job whose
+cached result is final, so the executor always compiles: each job runs a
+cache-enabled :class:`~repro.core.pipeline.FermihedralCompiler` in a
+worker against the caller's cache directory, where an unproved entry
+still seeds the descent and the result is stored.
 
 Failures are isolated per job: an exception inside a worker comes back as
 an ``error`` outcome for that key and the rest of the batch proceeds.  A
@@ -28,7 +23,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -36,12 +30,7 @@ from pathlib import Path
 from repro import chaos
 from repro.core.config import FermihedralConfig
 from repro.parallel.events import EventCallback, JobFinished, JobStarted
-from repro.store.batch import (
-    CompileJob,
-    JobOutcome,
-    final_cached_result,
-    run_compile_job,
-)
+from repro.store.batch import CompileJob, JobOutcome, run_compile_job
 from repro.store.cache import CompilationCache
 
 
@@ -86,9 +75,8 @@ class ProcessBatchExecutor:
     Args:
         jobs: worker-process count (must be >= 1; ``1`` still uses a
             single-process pool, which keeps the execution path uniform).
-        cache: shared compilation cache; enables the parent fast path and
-            worker-side persistence.  Workers reopen it by directory, so
-            the cache object itself never crosses the process boundary.
+        cache: shared compilation cache; only its directory is used,
+            shipped to the workers, which reopen it there.
         default_config: config for jobs that carry none.
         on_event: :mod:`repro.parallel.events` callback.
         telemetry: a :class:`repro.telemetry.Telemetry` handle.  Worker
@@ -138,8 +126,6 @@ class ProcessBatchExecutor:
         self.on_event = on_event
         self.telemetry = telemetry
         self.progress_dir = progress_dir
-        if cache is not None and telemetry is not None:
-            cache.set_telemetry(telemetry)
         self._pool: ProcessPoolExecutor | None = None
         self._pool_broken = False
         #: Serializes broken-pool replacement: concurrent run() calls on
@@ -192,20 +178,6 @@ class ProcessBatchExecutor:
             return None
         return str(Path(self.progress_dir) / f"{key}.json")
 
-    def _parent_fast_path(self, job: CompileJob, key: str) -> JobOutcome | None:
-        """A final cached result short-circuits dispatch entirely."""
-        started = time.monotonic()
-        cached = final_cached_result(self.cache, job, key)
-        if cached is None:
-            return None  # a worker compiles it, warm-starting if it can
-        return JobOutcome(
-            job=job,
-            key=key,
-            status="cache-hit",
-            result=cached,
-            elapsed_s=time.monotonic() - started,
-        )
-
     def run(self, work: list[tuple[str, CompileJob]]) -> dict[str, JobOutcome]:
         """Execute unique jobs; returns outcomes by fingerprint key.
 
@@ -213,26 +185,9 @@ class ProcessBatchExecutor:
         executor asserts nothing about ordering and reports completion in
         whatever order workers finish.
         """
-        total = len(work)
         outcomes: dict[str, JobOutcome] = {}
-        pending: list[tuple[int, str, CompileJob]] = []
-
-        for index, (key, job) in enumerate(work):
-            fast = self._parent_fast_path(job, key)
-            if fast is not None:
-                outcomes[key] = fast
-                self._emit(JobStarted(index, total, job.display, key))
-                self._emit(JobFinished(
-                    index, total, job.display, key, fast.status,
-                    fast.elapsed_s,
-                    weight=None if fast.result is None else fast.result.weight,
-                ))
-            else:
-                pending.append((index, key, job))
-
-        if not pending:
+        if not work:
             return outcomes
-
         if self._pool is not None:
             with self._pool_guard:
                 if self._pool_broken:
@@ -241,25 +196,25 @@ class ProcessBatchExecutor:
                     self._pool = self._make_pool(self.jobs)
                     self._pool_broken = False
                 pool = self._pool
-            self._dispatch(pool, pending, total, outcomes)
+            self._dispatch(pool, work, outcomes)
         else:
-            with self._make_pool(min(self.jobs, len(pending))) as pool:
-                self._dispatch(pool, pending, total, outcomes)
+            with self._make_pool(min(self.jobs, len(work))) as pool:
+                self._dispatch(pool, work, outcomes)
         return outcomes
 
     def _dispatch(
         self,
         pool: ProcessPoolExecutor,
-        pending: list[tuple[int, str, CompileJob]],
-        total: int,
+        work: list[tuple[str, CompileJob]],
         outcomes: dict[str, JobOutcome],
     ) -> None:
-        """Run the non-fast-path jobs on ``pool``, folding every failure —
-        a job exception, an unpicklable result, the pool itself breaking —
-        into per-key ``error`` outcomes."""
+        """Run the jobs on ``pool``, folding every failure — a job
+        exception, an unpicklable result, the pool itself breaking — into
+        per-key ``error`` outcomes."""
         cache_root = None if self.cache is None else str(Path(self.cache.root))
+        total = len(work)
         futures = {}
-        for index, key, job in pending:
+        for index, (key, job) in enumerate(work):
             self._emit(JobStarted(index, total, job.display, key))
             try:
                 chaos.inject("worker.spawn", telemetry=self.telemetry)

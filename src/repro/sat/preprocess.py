@@ -572,11 +572,16 @@ class _Simplifier:
         """
         changed = False
         dirty = self.dirty
+        # Variables of the unit resolvents this sweep queued: a queued
+        # unit is in no occurrence list until propagation, so eliminating
+        # its variable would let reconstruction overwrite the unit.
+        pending: set[int] = set()
         for variable in range(1, self.num_variables + 1):
             if not dirty[variable]:
                 continue
             dirty[variable] = 0
-            if variable in self.frozen or variable in self.fixed:
+            if (variable in self.frozen or variable in self.fixed
+                    or variable in pending):
                 continue
             pos = self.occurs.get(variable, set())
             neg = self.occurs.get(-variable, set())
@@ -618,7 +623,9 @@ class _Simplifier:
                 self._remove_clause(index)
             for resolvent in resolvents:
                 if len(resolvent) == 1:
-                    self.unit_queue.append(next(iter(resolvent)))
+                    unit = next(iter(resolvent))
+                    self.unit_queue.append(unit)
+                    pending.add(abs(unit))
                 else:
                     self._add_clause(resolvent)
             changed = True

@@ -82,7 +82,7 @@ from repro.store.batch import (
     job_from_spec,
     run_in_process,
 )
-from repro.store.cache import CompilationCache
+from repro.store.cache import CompilationCache, cache_counts
 
 #: Default bound on active (queued + running) jobs.
 DEFAULT_QUEUE_LIMIT = 64
@@ -262,8 +262,6 @@ class CompilationService:
 
             telemetry = Telemetry()
         self.telemetry = telemetry
-        if cache is not None:
-            cache.set_telemetry(telemetry)
         #: Scratch directory for worker-side live progress snapshot
         #: files; created in :meth:`start` on the process engine.
         self._progress_dir: str | None = None
@@ -400,7 +398,7 @@ class CompilationService:
         # The cache read is real disk I/O — do it without the lock, then
         # re-check the registry: a racing twin may have submitted the
         # same key, or the service may have started draining.
-        cached = final_cached_result(self.cache, job, key)
+        cached = final_cached_result(self.cache, job, key, self.telemetry)
         with self._wake:
             existing = self._existing_or_reject(key)
             if existing is not None:
@@ -784,7 +782,7 @@ class CompilationService:
             "source": "cache",
         }
         if include_result:
-            result = self.cache.get(info.key)
+            result = self.cache.get(info.key, telemetry=self.telemetry)
             if result is None:
                 return None  # corrupted or vanished between find and get
             from repro.encodings.serialization import result_to_dict
@@ -902,14 +900,8 @@ class CompilationService:
         stats = self.stats
         cache: dict = {"enabled": self.cache is not None}
         if self.cache is not None:
-            cache.update(
-                root=str(self.cache.root),
-                hits=self.cache.stats.hits,
-                misses=self.cache.stats.misses,
-                stores=self.cache.stats.stores,
-                warm_starts=self.cache.stats.warm_starts,
-                corrupted=self.cache.stats.corrupted,
-            )
+            cache.update(root=str(self.cache.root),
+                         **cache_counts(self.telemetry))
         return {
             "state": self._state,
             "uptime_s": time.time() - self.started_at,

@@ -8,10 +8,11 @@ package turns that asymmetry into a subsystem:
   jobs (``(num_modes, config, canonical Hamiltonian support, method)``).
 * :mod:`repro.store.cache` — :class:`CompilationCache`, a content-addressed
   on-disk memo of full :class:`~repro.core.pipeline.CompilationResult`s
-  with hit / warm-start / corrupted-entry handling.
-* :mod:`repro.store.batch` — :class:`BatchCompiler`, a concurrent
-  front-end that deduplicates a job list through the cache and fans the
-  unique jobs across threads or worker processes
+  with hit / warm-start / corrupted-entry handling; its lookups and
+  stores count into the caller's telemetry (:func:`cache_counts`).
+* :mod:`repro.store.batch` — :class:`BatchCompiler`, a front-end that
+  deduplicates a job list, answers final cache hits itself, and compiles
+  the rest in-process or across worker processes
   (:mod:`repro.parallel.executor`).
 
 See ``docs/ARCHITECTURE.md`` for the fingerprint and schema design.
@@ -31,9 +32,9 @@ from repro.store.batch import (
 )
 from repro.store.cache import (
     CacheEntryInfo,
-    CacheStats,
     CompilationCache,
     GcReport,
+    cache_counts,
     default_cache_dir,
 )
 from repro.store.fingerprint import (
@@ -49,7 +50,6 @@ __all__ = [
     "BatchReport",
     "CONFIG_SPEC_KEYS",
     "CacheEntryInfo",
-    "CacheStats",
     "CompilationCache",
     "CompileJob",
     "FINGERPRINT_VERSION",
@@ -58,6 +58,7 @@ __all__ = [
     "JOB_STATUSES",
     "JobOutcome",
     "METHOD_SPELLINGS",
+    "cache_counts",
     "canonical_config",
     "canonical_hamiltonian",
     "compilation_key",

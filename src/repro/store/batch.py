@@ -8,19 +8,22 @@ cheap wins before it ever parallelizes:
    result (status ``"deduplicated"``).  Because the fingerprint ignores
    Hamiltonian coefficients, a sweep over e.g. bond lengths of the same
    molecule collapses to a single solve.
-2. **Caching** — each job runs a cache-enabled
-   :class:`~repro.core.pipeline.FermihedralCompiler`, so keys already in
-   the persistent store return instantly across batch invocations.
+2. **Caching** — :meth:`BatchCompiler.compile` answers every unique job
+   whose cached result is final before any engine starts; the rest run a
+   cache-enabled :class:`~repro.core.pipeline.FermihedralCompiler` that
+   warm-starts from an unproved entry.  So a job that misses is looked up
+   twice (front door, then compile), a final hit once.
 
-A job runs one of two ways.  With ``jobs > 1`` the unique jobs fan out
-across **worker processes** (:class:`repro.parallel.executor
+The jobs left run one of two ways.  With ``jobs > 1`` they fan out across
+**worker processes** (:class:`repro.parallel.executor
 .ProcessBatchExecutor`) — real CPU parallelism for the GIL-holding
-pure-Python solver, with a parent-side cache fast path and per-job
-failure isolation.  Otherwise :func:`run_in_process` compiles them one
-after another in this process (the service daemon's in-process engine
-uses it too).  Both engines emit :mod:`repro.parallel.events` through
-``on_event``, which the CLI renders as a live per-job status line, and
-give each job its own telemetry handle when the caller holds one.
+pure-Python solver, with per-job failure isolation.  Otherwise
+:func:`run_in_process` compiles them one after another in this process
+(the service daemon's in-process engine uses it too).  Both engines
+always compile, emit :mod:`repro.parallel.events` through ``on_event``,
+which the CLI renders as a live per-job status line, and give each job
+its own telemetry handle, cache counts included, when the caller holds
+one.
 """
 
 from __future__ import annotations
@@ -385,18 +388,20 @@ def compile_job_key(job: CompileJob, default_config: FermihedralConfig) -> str:
 
 
 def final_cached_result(
-    cache: CompilationCache | None, job: CompileJob, key: str
+    cache: CompilationCache | None, job: CompileJob, key: str, telemetry=None
 ) -> CompilationResult | None:
     """A cached result that answers ``job`` outright, without a compile.
 
-    The one cache-hit test shared by the process executor's parent fast
-    path and the service daemon's synchronous submit: an entry counts
-    only when :meth:`FermihedralCompiler._is_final` accepts it, so an
-    unproved entry is left for a compile to warm-start from.
+    The one cache-hit test of the two front doors,
+    :meth:`BatchCompiler.compile` and the service daemon's synchronous
+    submit: an entry counts only when
+    :meth:`FermihedralCompiler._is_final` accepts it, so an unproved entry
+    is left for a compile to warm-start from.  The lookup counts into
+    ``telemetry``.
     """
     if cache is None:
         return None
-    cached = cache.get(key)
+    cached = cache.get(key, telemetry=telemetry)
     if cached is None:
         return None
     topology = resolve_device(job.device)
@@ -521,10 +526,6 @@ def run_in_process(
         outcome = run_compile_job(job, job.config or default_config, cache,
                                   key, telemetry=job_telemetry)
         if job_telemetry is not None:
-            # The compiler pointed the shared cache at the job's handle;
-            # cache reads after the job belong to the caller's handle.
-            if cache is not None:
-                cache.set_telemetry(telemetry)
             payload = job_telemetry.drain_relay()
             # Progress already went through the live sink above —
             # absorbing it again would double every event.
@@ -556,9 +557,11 @@ class BatchCompiler:
             same weights, same optimality proofs — the engines only
             change how fast they arrive.
         on_event: :mod:`repro.parallel.events` callback for live progress.
-        telemetry: a :class:`repro.telemetry.Telemetry` handle.  Each job
-            records into its own handle, whose spans and metric deltas
-            are relayed back into this one on either engine.
+        telemetry: a :class:`repro.telemetry.Telemetry` handle.  The
+            front-door cache lookups count into it directly; each compiled
+            job records into its own handle, whose spans and metric deltas
+            (its cache counts included) are relayed back into this one on
+            either engine.
     """
 
     def __init__(
@@ -589,9 +592,15 @@ class BatchCompiler:
 
         Jobs sharing a fingerprint are compiled once: the first occurrence
         runs (``compiled`` / ``warm-start`` / ``cache-hit``), later ones
-        report ``deduplicated`` and share its result object.
+        report ``deduplicated`` and share its result object.  A final
+        cached result answers its job here, before either engine starts.
         """
-        from repro.parallel.events import BatchFinished, BatchStarted
+        from repro.parallel.events import (
+            BatchFinished,
+            BatchStarted,
+            JobFinished,
+            JobStarted,
+        )
 
         started = time.monotonic()
         # Fingerprinting itself can fail per job (unknown device name, a
@@ -617,21 +626,47 @@ class BatchCompiler:
             deduplicated=len(jobs) - len(unique) - len(key_errors),
             workers=min(self.jobs, max(len(unique), 1)),
         ))
+        primary_outcomes: dict[str, JobOutcome] = {}
+        to_compile: list[tuple[str, CompileJob]] = []
+        positions: list[int] = []  # index in ``unique`` of each to_compile job
+        for index, (key, job) in enumerate(unique):
+            hit_started = time.monotonic()
+            cached = final_cached_result(self.cache, job, key, self.telemetry)
+            if cached is None:
+                to_compile.append((key, job))
+                positions.append(index)
+                continue
+            outcome = JobOutcome(job=job, key=key, status="cache-hit",
+                                 result=cached,
+                                 elapsed_s=time.monotonic() - hit_started)
+            primary_outcomes[key] = outcome
+            self._emit(JobStarted(index, len(unique), job.display, key))
+            self._emit(JobFinished(index, len(unique), job.display, key,
+                                   outcome.status, outcome.elapsed_s,
+                                   weight=cached.weight))
+
+        def renumber(event) -> None:
+            # Engines number the work they were handed; events count the
+            # batch's unique jobs, front-door hits included.
+            self._emit(dataclasses.replace(
+                event, index=positions[event.index], total=len(unique)))
+
+        on_event = renumber if self.on_event is not None else None
         if self.jobs > 1:
             from repro.parallel.executor import ProcessBatchExecutor
 
-            primary_outcomes = ProcessBatchExecutor(
+            primary_outcomes.update(ProcessBatchExecutor(
                 jobs=self.jobs,
                 cache=self.cache,
                 default_config=self.default_config,
-                on_event=self.on_event,
+                on_event=on_event,
                 telemetry=self.telemetry,
-            ).run(unique)
+            ).run(to_compile))
         else:
-            primary_outcomes = run_in_process(
-                unique, self.default_config, self.cache,
-                telemetry=self.telemetry, on_event=self.on_event,
-            )
+            primary_outcomes.update(run_in_process(
+                to_compile, self.default_config, self.cache,
+                telemetry=self.telemetry, on_event=on_event,
+            ))
 
         outcomes: list[JobOutcome] = []
         for index, (job, key) in enumerate(zip(jobs, keys)):

@@ -12,16 +12,24 @@ Each entry is a small, versioned JSON document wrapping a full
 crashed or concurrent writer can never leave a half-written entry behind;
 readers treat anything unparseable as a miss and count it as corrupted.
 
-The cache is safe to share across threads — :class:`BatchCompiler` hands
-one instance to every worker — and across processes on the same
-filesystem, because the key is content-addressed: two processes that race
-to store the same key write equivalent entries.  The parallel batch
+A cache object holds nothing but its directory and the ``validate``
+flag: it keeps no counters of its own.  :meth:`CompilationCache.get` and
+:meth:`~CompilationCache.put` count into the telemetry handle their caller
+passes (``repro_cache_requests_total{outcome=hit|miss|corrupted}``,
+``repro_cache_stores_total``), and :func:`cache_counts` reads those
+counters back.  Worker processes relay their handles to the parent, so one
+handle holds the whole record on either batch engine.  Every lookup is
+counted where it happens: a job that misses is looked up twice (once at
+the front door that checks for a final hit, once by the compile that then
+runs it), a final hit once.
+
+The cache is safe to share across threads and across processes on the
+same filesystem, because the key is content-addressed: two processes that
+race to store the same key write equivalent entries.  The parallel batch
 executor leans on this: every worker process opens the same directory,
 readers treat an entry GC'd from under them (``FileNotFoundError`` between
 the existence check and the read) as a plain miss, and writers recreate a
-shard directory a concurrent ``gc()``/cleanup removed mid-``put``.  Cache
-objects themselves pickle by directory — the in-memory lock and counters
-stay process-local.
+shard directory a concurrent ``gc()``/cleanup removed mid-``put``.
 """
 
 from __future__ import annotations
@@ -29,7 +37,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -73,21 +80,38 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "fermihedral"
 
 
-@dataclass
-class CacheStats:
-    """Counters accumulated by one :class:`CompilationCache` instance.
+_REQUESTS = "repro_cache_requests_total"
+_REQUESTS_HELP = "compilation-cache lookups by outcome"
 
-    ``hits`` counts entries found and decoded; a hit that is then used
-    only to seed a warm-started descent also increments ``warm_starts``
-    (the pipeline records that).  ``corrupted`` counts entries that were
-    present but unreadable — they behave as misses.
+
+def _count(telemetry, name: str, help: str, **labels) -> None:
+    if telemetry is not None:
+        telemetry.counter(name, help).labels(**labels).inc()
+
+
+def cache_counts(telemetry) -> dict[str, int]:
+    """The cache activity recorded in a telemetry handle.
+
+    ``hits`` counts entries found and decoded; a hit the compiler then
+    used only to seed a warm-started descent also counts in
+    ``warm_starts``.  ``corrupted`` counts entries that were present but
+    unreadable; each of them is a miss too.  Counters that were never
+    incremented read 0.
     """
+    families = dict(telemetry.metrics.families())
 
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    warm_starts: int = 0
-    corrupted: int = 0
+    def value(name: str, key: tuple = ()) -> int:
+        family = families.get(name)
+        child = None if family is None else dict(family.children()).get(key)
+        return 0 if child is None else int(child.value)
+
+    return {
+        "hits": value(_REQUESTS, (("outcome", "hit"),)),
+        "misses": value(_REQUESTS, (("outcome", "miss"),)),
+        "stores": value("repro_cache_stores_total"),
+        "warm_starts": value("repro_cache_warm_starts_total"),
+        "corrupted": value(_REQUESTS, (("outcome", "corrupted"),)),
+    }
 
 
 @dataclass(frozen=True)
@@ -129,48 +153,17 @@ class CompilationCache:
         root: directory holding the entries; created on first use.
         validate: re-validate encoding constraints when decoding entries.
             Leave on unless the caller re-verifies results itself.
-        telemetry: optional :class:`repro.telemetry.Telemetry`; every
-            ``stats`` increment is then mirrored into labelled counters
-            (``repro_cache_requests_total{outcome=...}``, stores, warm
-            starts).  Also settable after construction with
-            :meth:`set_telemetry` — the compiler does this so a cache
-            built by the CLI reports through the compiler's handle.
 
-    High-level use pairs :meth:`key_for` with :meth:`get`/:meth:`put`;
-    :class:`~repro.core.pipeline.FermihedralCompiler` does this when
-    constructed with ``cache=``.
+    The instance is stateless beyond those two: the reads and writes that
+    count take the caller's ``telemetry`` handle per call (see the module
+    docstring).  High-level use pairs :meth:`key_for` with
+    :meth:`get`/:meth:`put`; :class:`~repro.core.pipeline
+    .FermihedralCompiler` does this when constructed with ``cache=``.
     """
 
-    def __init__(self, root: str | Path, validate: bool = True,
-                 telemetry=None):
+    def __init__(self, root: str | Path, validate: bool = True):
         self.root = Path(root)
         self.validate = validate
-        self.telemetry = telemetry
-        self.stats = CacheStats()
-        self._lock = threading.Lock()
-
-    def __getstate__(self) -> dict:
-        """Pickle by directory: locks are process-local, and a worker's
-        hit/miss counters should start at zero, not at the parent's."""
-        return {"root": self.root, "validate": self.validate}
-
-    def __setstate__(self, state: dict) -> None:
-        self.root = state["root"]
-        self.validate = state["validate"]
-        self.telemetry = None
-        self.stats = CacheStats()
-        self._lock = threading.Lock()
-
-    def set_telemetry(self, telemetry) -> None:
-        """Attach (or detach, with ``None``) a telemetry handle."""
-        self.telemetry = telemetry
-
-    def _tele_request(self, outcome: str) -> None:
-        if self.telemetry is not None:
-            self.telemetry.counter(
-                "repro_cache_requests_total",
-                "compilation-cache lookups by outcome",
-            ).labels(outcome=outcome).inc()
 
     # -- keys -----------------------------------------------------------------
 
@@ -216,57 +209,29 @@ class CompilationCache:
             raise ValueError("entry key does not match its filename")
         return result_from_dict(data["result"], validate=self.validate)
 
-    def get(self, key: str) -> CompilationResult | None:
+    def get(self, key: str, telemetry=None) -> CompilationResult | None:
         """Fetch a cached result, or ``None`` on miss.
 
         Corrupted entries (unreadable JSON, schema mismatch, key mismatch,
-        invalid encodings) are counted in ``stats.corrupted`` and reported
-        as misses; ``gc()`` removes them.
+        invalid encodings) are counted as ``corrupted`` and reported as
+        misses; ``gc()`` removes them.  The lookup counts into
+        ``telemetry`` when one is given.
         """
         path = self.path_for(key)
+        result = None
         try:
-            chaos.inject("cache.read", telemetry=self.telemetry)
-            exists = path.exists()
+            chaos.inject("cache.read", telemetry=telemetry)
+            if path.exists():
+                result = self._decode_entry(path, key)
         except OSError:
             # An unreadable store (injected or real) degrades to a miss:
             # the pipeline recomputes instead of failing the job.
-            with self._lock:
-                self.stats.misses += 1
-            self._tele_request("miss")
-            return None
-        if not exists:
-            with self._lock:
-                self.stats.misses += 1
-            self._tele_request("miss")
-            return None
-        try:
-            result = self._decode_entry(path, key)
-        except OSError:
-            with self._lock:
-                self.stats.misses += 1
-            self._tele_request("miss")
-            return None
+            pass
         except (ValueError, KeyError, TypeError):
-            with self._lock:
-                self.stats.corrupted += 1
-                self.stats.misses += 1
-            self._tele_request("corrupted")
-            self._tele_request("miss")
-            return None
-        with self._lock:
-            self.stats.hits += 1
-        self._tele_request("hit")
+            _count(telemetry, _REQUESTS, _REQUESTS_HELP, outcome="corrupted")
+        outcome = "miss" if result is None else "hit"
+        _count(telemetry, _REQUESTS, _REQUESTS_HELP, outcome=outcome)
         return result
-
-    def note_warm_start(self) -> None:
-        """Record that a hit was consumed as a warm-start seed (thread-safe)."""
-        with self._lock:
-            self.stats.warm_starts += 1
-        if self.telemetry is not None:
-            self.telemetry.counter(
-                "repro_cache_warm_starts_total",
-                "cache hits consumed as descent warm starts",
-            ).inc()
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).exists()
@@ -310,11 +275,12 @@ class CompilationCache:
                     pass
                 raise
 
-    def put(self, key: str, result: CompilationResult) -> Path:
-        """Persist a result under ``key`` atomically; returns the entry path."""
+    def put(self, key: str, result: CompilationResult, telemetry=None) -> Path:
+        """Persist a result under ``key`` atomically; returns the entry path.
+        The store counts into ``telemetry`` when one is given."""
         from repro.encodings.serialization import result_to_dict
 
-        chaos.inject("cache.write", telemetry=self.telemetry)
+        chaos.inject("cache.write", telemetry=telemetry)
         entry = {
             "entry_format_version": _ENTRY_FORMAT_VERSION,
             "key": key,
@@ -327,12 +293,7 @@ class CompilationCache:
         }
         path = self.path_for(key)
         self._atomic_write(path, json.dumps(entry, indent=2) + "\n", key[:8])
-        with self._lock:
-            self.stats.stores += 1
-        if self.telemetry is not None:
-            self.telemetry.counter(
-                "repro_cache_stores_total", "cache entries written"
-            ).inc()
+        _count(telemetry, "repro_cache_stores_total", "cache entries written")
         return path
 
     # -- proof artifacts -------------------------------------------------------
@@ -378,15 +339,16 @@ class CompilationCache:
 
     # -- descent checkpoints ---------------------------------------------------
 
-    def put_checkpoint(self, key: str, data: dict) -> Path:
+    def put_checkpoint(self, key: str, data: dict, telemetry=None) -> Path:
         """Persist a descent checkpoint document for ``key`` atomically.
 
         Overwrites any previous checkpoint for the key — only the latest
         rung state matters.  Raises ``OSError`` on failure; callers
         (:class:`repro.core.checkpoint.CacheCheckpointSink`) treat that as
-        best-effort and keep solving.
+        best-effort and keep solving.  ``telemetry`` only reaches the
+        ``checkpoint.write`` chaos point.
         """
-        chaos.inject("checkpoint.write", telemetry=self.telemetry)
+        chaos.inject("checkpoint.write", telemetry=telemetry)
         path = self.checkpoint_path(key)
         self._atomic_write(path, json.dumps(data) + "\n", key[:8])
         return path

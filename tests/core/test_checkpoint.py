@@ -118,7 +118,7 @@ class TestSinks:
 
     def test_cache_sink_save_survives_write_faults(self, tmp_path):
         telemetry = Telemetry()
-        cache = CompilationCache(tmp_path, telemetry=telemetry)
+        cache = CompilationCache(tmp_path)
         sink = CacheCheckpointSink(cache, "deadbeef", telemetry=telemetry)
         chaos.configure("checkpoint.write=always")
         assert sink.save(make_checkpoint()) is False
@@ -192,7 +192,7 @@ class TestDescentCheckpointing:
         # Checkpoint persistence is best-effort: a dying disk degrades
         # resumability, never correctness.
         telemetry = Telemetry()
-        cache = CompilationCache(tmp_path, telemetry=telemetry)
+        cache = CompilationCache(tmp_path)
         sink = CacheCheckpointSink(cache, "job-key", telemetry=telemetry)
         chaos.configure("checkpoint.write=always")
         result = descend(

@@ -1,4 +1,4 @@
-"""Process-pool batch executor: isolation, fast paths, events, identity."""
+"""Process-pool batch executor: isolation, front-door hits, events, identity."""
 
 import pytest
 
@@ -12,7 +12,7 @@ from repro.parallel.events import (
     format_event,
 )
 from repro.parallel.executor import ProcessBatchExecutor
-from repro.store import BatchCompiler, CompilationCache, CompileJob
+from repro.store import BatchCompiler, CompilationCache, CompileJob, cache_counts
 from repro.telemetry import Telemetry
 
 
@@ -52,23 +52,39 @@ class TestExecutor:
     def test_parent_fast_path_skips_dispatch(self, tmp_path, monkeypatch):
         cache = CompilationCache(tmp_path)
         job = _job(2, "warm")
-        key = BatchCompiler(cache=cache)._job_key(job)
-        first = ProcessBatchExecutor(jobs=2, cache=cache).run([(key, job)])
-        assert first[key].status == "compiled"
+        first = BatchCompiler(cache=cache, jobs=2).compile([job])
+        assert first.outcomes[0].status == "compiled"
 
-        # Once the entry is final, the executor must answer from the
-        # parent without creating any worker process.
+        # Once the entry is final, the batch front door must answer it
+        # without creating any worker process.
         import repro.parallel.executor as executor_module
 
         def forbid(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("worker pool should not be created on a full hit")
 
         monkeypatch.setattr(executor_module, "ProcessPoolExecutor", forbid)
-        cache2 = CompilationCache(tmp_path)
-        second = ProcessBatchExecutor(jobs=2, cache=cache2).run([(key, job)])
-        assert second[key].status == "cache-hit"
-        assert second[key].result.weight == 6
-        assert cache2.stats.hits == 1
+        telemetry = Telemetry()
+        second = BatchCompiler(cache=CompilationCache(tmp_path), jobs=2,
+                               telemetry=telemetry).compile([job])
+        assert second.outcomes[0].status == "cache-hit"
+        assert second.outcomes[0].result.weight == 6
+        assert cache_counts(telemetry)["hits"] == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_front_door_hits_keep_unique_job_indexes(self, tmp_path, jobs):
+        cache = CompilationCache(tmp_path)
+        BatchCompiler(cache=cache).compile([_job(2, "warm")])
+        events = []
+        report = BatchCompiler(cache=cache, jobs=jobs,
+                               on_event=events.append).compile(
+            [_job(2, "warm"), _job(3, "fresh")]
+        )
+        assert [o.status for o in report.outcomes] == ["cache-hit", "compiled"]
+        finished = {e.label: (e.index, e.total) for e in events
+                    if isinstance(e, JobFinished)}
+        started = {e.label: (e.index, e.total) for e in events
+                   if isinstance(e, JobStarted)}
+        assert finished == started == {"warm": (0, 2), "fresh": (1, 2)}
 
     def test_executor_rejects_zero_jobs(self):
         with pytest.raises(ValueError):

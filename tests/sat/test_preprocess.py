@@ -58,6 +58,19 @@ class TestEquisatisfiability:
             full = simplified.reconstruct(result.model)
             assert evaluate_formula(formula, full)
 
+    def test_queued_unit_survives_elimination(self):
+        # Eliminating 3 resolves (3 ∨ 4) with (¬3 ∨ 4) into the unit 4,
+        # queued but not yet propagated; the same sweep must not then
+        # eliminate 4 as a pure literal, or reconstruction sets it False.
+        formula = CnfFormula()
+        formula.new_variables(5)
+        for clause in [(1, 3), (-1, 2), (4, -3), (4, -1), (-5, -4)]:
+            formula.add_clause(clause)
+        simplified = preprocess(formula)
+        result = CdclSolver(simplified.formula).solve()
+        assert result.is_sat
+        assert evaluate_formula(formula, simplified.reconstruct(result.model))
+
     def test_unsat_shortcircuits(self):
         formula = CnfFormula()
         a, b = formula.new_variables(2)
@@ -281,8 +294,10 @@ class _FullSweepSimplifier(_preprocess_module._Simplifier):
 
     def eliminate_variables(self, occurrence_limit: int) -> bool:
         changed = False
+        pending: set[int] = set()  # variables of this sweep's unit resolvents
         for variable in range(1, self.num_variables + 1):
-            if variable in self.frozen or variable in self.fixed:
+            if (variable in self.frozen or variable in self.fixed
+                    or variable in pending):
                 continue
             pos = self.occurs.get(variable, set())
             neg = self.occurs.get(-variable, set())
@@ -319,7 +334,9 @@ class _FullSweepSimplifier(_preprocess_module._Simplifier):
                 self._remove_clause(index)
             for resolvent in resolvents:
                 if len(resolvent) == 1:
-                    self.unit_queue.append(next(iter(resolvent)))
+                    unit = next(iter(resolvent))
+                    self.unit_queue.append(unit)
+                    pending.add(abs(unit))
                 else:
                     self._add_clause(resolvent)
             changed = True

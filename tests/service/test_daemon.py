@@ -319,6 +319,36 @@ class TestRealCompilation:
         assert rebooted.stats.cache_hits == 1
         rebooted.shutdown(wait=True)
 
+    @pytest.mark.parametrize("use_processes", [True, False])
+    def test_stats_cache_counts_match_metrics(self, tmp_path, fast_config,
+                                              use_processes):
+        """One compiled job counts the same on both engines, and /stats
+        reports exactly what /metrics does: a miss at submit, a miss in
+        the compile, one store."""
+        from repro.telemetry import parse_prometheus_text
+
+        service = CompilationService(
+            cache=CompilationCache(tmp_path / "cache"),
+            default_config=fast_config, use_processes=use_processes,
+        ).start()
+        record, _ = service.submit(_spec(2))
+        assert service.wait_for(record.id, timeout=60.0).outcome == "compiled"
+        service.shutdown(wait=True)
+
+        families = parse_prometheus_text(service.metrics_text())
+        requests = {
+            labels["outcome"]: value
+            for labels, value in families["repro_cache_requests_total"]
+            ["samples"]["repro_cache_requests_total"]
+        }
+        [(_, stores)] = (families["repro_cache_stores_total"]["samples"]
+                         ["repro_cache_stores_total"])
+        cache = service.stats_wire()["cache"]
+        assert requests == {"miss": 2}
+        assert cache["misses"] == 2 and cache["hits"] == 0
+        assert cache["stores"] == stores == 1
+        assert cache["warm_starts"] == cache["corrupted"] == 0
+
     def test_cache_hit_identical_to_direct_compile(self, tmp_path, fast_config):
         """A polled cache-hit equals FermihedralCompiler.compile() exactly."""
         import json

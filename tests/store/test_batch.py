@@ -9,8 +9,9 @@ from repro.core import (
     FermihedralConfig,
 )
 from repro.fermion import hubbard_chain
-from repro.store import BatchCompiler, CompilationCache, CompileJob
+from repro.store import BatchCompiler, CompilationCache, CompileJob, cache_counts
 from repro.store.batch import job_from_spec
+from repro.telemetry import Telemetry
 
 
 class TestCompileJob:
@@ -57,7 +58,9 @@ class TestCompileJob:
 class TestBatchCompiler:
     def test_duplicates_compile_once(self, tmp_path, fast_config):
         cache = CompilationCache(tmp_path)
-        compiler = BatchCompiler(cache=cache, default_config=fast_config)
+        telemetry = Telemetry()
+        compiler = BatchCompiler(cache=cache, default_config=fast_config,
+                                 telemetry=telemetry)
         jobs = [
             CompileJob(num_modes=2),
             CompileJob(num_modes=2),
@@ -67,7 +70,7 @@ class TestBatchCompiler:
         statuses = [outcome.status for outcome in report.outcomes]
         assert statuses == ["compiled", "deduplicated", "compiled"]
         # one store per unique fingerprint, none for the duplicate
-        assert cache.stats.stores == 2
+        assert cache_counts(telemetry)["stores"] == 2
         assert report.outcomes[0].result is report.outcomes[1].result
         assert report.ok
         assert report.counts == {"compiled": 2, "deduplicated": 1}

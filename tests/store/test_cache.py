@@ -13,7 +13,8 @@ from repro.core import (
 )
 from repro.core.descent import DescentResult
 from repro.encodings import jordan_wigner
-from repro.store import CompilationCache
+from repro.store import CompilationCache, cache_counts
+from repro.telemetry import Telemetry
 
 
 def _fake_unproved_result(num_modes: int = 2) -> CompilationResult:
@@ -37,26 +38,28 @@ def _fake_unproved_result(num_modes: int = 2) -> CompilationResult:
 class TestGetPut:
     def test_miss_on_empty_cache(self, tmp_path):
         cache = CompilationCache(tmp_path)
-        assert cache.get("0" * 64) is None
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 0
+        telemetry = Telemetry()
+        assert cache.get("0" * 64, telemetry=telemetry) is None
+        assert cache_counts(telemetry)["misses"] == 1
+        assert cache_counts(telemetry)["hits"] == 0
 
     def test_put_then_get_round_trips(self, tmp_path):
         cache = CompilationCache(tmp_path)
         result = _fake_unproved_result()
         key = "ab" + "0" * 62
-        path = cache.put(key, result)
+        telemetry = Telemetry()
+        path = cache.put(key, result, telemetry=telemetry)
         assert path.exists()
         assert path.parent.name == "ab"
-        loaded = cache.get(key)
+        loaded = cache.get(key, telemetry=telemetry)
         assert loaded is not None
         assert loaded.weight == result.weight
         assert loaded.proved_optimal is False
         assert [s.label() for s in loaded.encoding.strings] == [
             s.label() for s in result.encoding.strings
         ]
-        assert cache.stats.hits == 1
-        assert cache.stats.stores == 1
+        assert cache_counts(telemetry)["hits"] == 1
+        assert cache_counts(telemetry)["stores"] == 1
 
     def test_contains_and_len(self, tmp_path):
         cache = CompilationCache(tmp_path)
@@ -74,9 +77,10 @@ class TestCorruptedEntries:
         key = "ef" + "2" * 62
         cache.put(key, _fake_unproved_result())
         cache.path_for(key).write_text("{not json at all")
-        assert cache.get(key) is None
-        assert cache.stats.corrupted == 1
-        assert cache.stats.misses == 1
+        telemetry = Telemetry()
+        assert cache.get(key, telemetry=telemetry) is None
+        assert cache_counts(telemetry)["corrupted"] == 1
+        assert cache_counts(telemetry)["misses"] == 1
 
     def test_key_mismatch_is_corrupted(self, tmp_path):
         cache = CompilationCache(tmp_path)
@@ -85,8 +89,9 @@ class TestCorruptedEntries:
         cache.put(key, _fake_unproved_result())
         # copy the entry under a different key without rewriting its body
         cache.path_for(other).write_text(cache.path_for(key).read_text())
-        assert cache.get(other) is None
-        assert cache.stats.corrupted == 1
+        telemetry = Telemetry()
+        assert cache.get(other, telemetry=telemetry) is None
+        assert cache_counts(telemetry)["corrupted"] == 1
 
     def test_wrong_entry_version_is_corrupted(self, tmp_path):
         cache = CompilationCache(tmp_path)
@@ -95,8 +100,9 @@ class TestCorruptedEntries:
         data = json.loads(cache.path_for(key).read_text())
         data["entry_format_version"] = 99
         cache.path_for(key).write_text(json.dumps(data))
-        assert cache.get(key) is None
-        assert cache.stats.corrupted == 1
+        telemetry = Telemetry()
+        assert cache.get(key, telemetry=telemetry) is None
+        assert cache_counts(telemetry)["corrupted"] == 1
 
     def test_entries_flags_corrupted(self, tmp_path):
         cache = CompilationCache(tmp_path)
@@ -185,8 +191,9 @@ class TestGc:
         # shallow listing cannot see it...
         assert not [info for info in cache.entries() if info.corrupted]
         # ...but get() rejects it, and gc removes it
-        assert cache.get(key) is None
-        assert cache.stats.corrupted == 1
+        telemetry = Telemetry()
+        assert cache.get(key, telemetry=telemetry) is None
+        assert cache_counts(telemetry)["corrupted"] == 1
         report = cache.gc()
         assert [info.key for info in report.removed] == [key]
         assert report.reasons[key] == "corrupted"
@@ -250,10 +257,12 @@ class TestCompilerIntegration:
             raise AssertionError("descend() ran on what should be a cache hit")
 
         monkeypatch.setattr("repro.core.pipeline.descend", _no_sat_allowed)
-        second = FermihedralCompiler(2, fast_config, cache=cache)
+        telemetry = Telemetry()
+        second = FermihedralCompiler(2, fast_config, cache=cache,
+                                     telemetry=telemetry)
         result2 = second.hamiltonian_independent()
         assert second.last_cache_status == "hit"
-        assert cache.stats.hits == 1
+        assert cache_counts(telemetry)["hits"] == 1
         # the cached descent trace is preserved verbatim
         assert result2.descent.sat_calls == result1.descent.sat_calls
         assert [step.bound for step in result2.descent.steps] == [
@@ -270,7 +279,9 @@ class TestCompilerIntegration:
         """A cached non-optimal result must seed descend()'s starting bound
         (its encoding becomes the baseline) instead of being returned."""
         cache = CompilationCache(tmp_path)
-        compiler = FermihedralCompiler(2, fast_config, cache=cache)
+        telemetry = Telemetry()
+        compiler = FermihedralCompiler(2, fast_config, cache=cache,
+                                       telemetry=telemetry)
         key = cache.key_for(
             num_modes=2, config=fast_config, method=METHOD_INDEPENDENT
         )
@@ -291,7 +302,7 @@ class TestCompilerIntegration:
         monkeypatch.setattr("repro.core.pipeline.descend", _spy)
         result = compiler.hamiltonian_independent()
         assert compiler.last_cache_status == "warm-start"
-        assert cache.stats.warm_starts == 1
+        assert cache_counts(telemetry)["warm_starts"] == 1
         assert len(seen_baselines) == 1
         jw_labels = [s.label() for s in jordan_wigner(2).strings]
         assert [s.label() for s in seen_baselines[0].strings] == jw_labels
@@ -309,10 +320,12 @@ class TestCompilerIntegration:
             num_modes=2, config=fast_config, method=METHOD_INDEPENDENT
         )
         cache.path_for(key).write_text("{broken")
-        again = FermihedralCompiler(2, fast_config, cache=cache)
+        telemetry = Telemetry()
+        again = FermihedralCompiler(2, fast_config, cache=cache,
+                                    telemetry=telemetry)
         result2 = again.hamiltonian_independent()
         assert again.last_cache_status == "miss"
-        assert cache.stats.corrupted == 1
+        assert cache_counts(telemetry)["corrupted"] == 1
         assert result2.weight == result1.weight
         # entry was rewritten and reads cleanly now
         assert cache.get(key) is not None

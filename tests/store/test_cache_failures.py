@@ -9,7 +9,8 @@ on the side.
 import pytest
 
 from repro.core import FermihedralCompiler, FermihedralConfig, SolverBudget
-from repro.store import BatchCompiler, CompilationCache, CompileJob
+from repro.store import BatchCompiler, CompilationCache, CompileJob, cache_counts
+from repro.telemetry import Telemetry
 
 
 @pytest.fixture
@@ -36,7 +37,7 @@ class TestCompilerStoreFailure:
         """The cache directory vanishing between get and put."""
         cache = CompilationCache(tmp_path / "cache")
 
-        def vanished(key, result):
+        def vanished(key, result, telemetry=None):
             raise FileNotFoundError("shard removed by a concurrent cleanup")
 
         monkeypatch.setattr(cache, "put", vanished)
@@ -48,11 +49,13 @@ class TestCompilerStoreFailure:
 
     def test_healthy_cache_still_stores(self, tmp_path, config):
         cache = CompilationCache(tmp_path / "cache")
-        compiler = FermihedralCompiler(2, config, cache=cache)
+        telemetry = Telemetry()
+        compiler = FermihedralCompiler(2, config, cache=cache,
+                                       telemetry=telemetry)
         compiler.compile(method="independent")
         assert compiler.last_cache_status == "miss"
         assert compiler.last_cache_error is None
-        assert cache.stats.stores == 1
+        assert cache_counts(telemetry)["stores"] == 1
 
 
 class TestBatchStoreFailure:

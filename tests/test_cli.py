@@ -365,6 +365,27 @@ class TestBatchCli:
         assert "2 jobs" in out
         assert "1 stores" in out
 
+    def test_batch_cache_line_same_at_any_jobs(self, capsys, tmp_path):
+        """Workers relay their cache counts home, so a fresh-cache batch
+        reports the same ``cache:`` line on either engine."""
+        jobs = tmp_path / "jobs.json"
+        jobs.write_text(json.dumps([
+            {"modes": 2, "method": "independent"},
+            {"modes": 2, "method": "independent", "label": "again"},
+            {"modes": 3, "method": "independent"},
+        ]))
+        lines = []
+        for n in ("1", "2"):
+            cache_dir = tmp_path / f"cache-{n}"
+            code = main(["batch", str(jobs), "--budget-s", "30", "--quiet",
+                         "--jobs", n, "--cache", str(cache_dir)])
+            assert code == 0
+            [line] = [line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("cache:")]
+            lines.append(line.replace(str(cache_dir), "DIR"))
+        assert lines[0] == lines[1] == (
+            "cache: 0 hits, 4 misses, 0 warm starts, 2 stores (DIR)")
+
     def test_batch_requires_jobs(self, capsys):
         code = main(["batch"])
         assert code == 2
