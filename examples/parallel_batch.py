@@ -1,15 +1,11 @@
-"""The parallel engine in action: process fan-out and portfolio racing.
+"""The parallel engine in action: batch fan-out across processes.
 
-Two demonstrations:
-
-1. **Batch fan-out** — a sweep-shaped job list (duplicates included, as a
-   bond-length sweep produces after coefficient-free fingerprinting)
-   compiled one job after another in this process (``jobs=1``, the
-   default engine) and then on 4 worker processes, with the live
-   progress events the CLI renders on stderr, and identical weights /
-   optimality proofs at either worker count.
-2. **Portfolio racing** — one descent solved with 1, 2 and 4 diversified
-   solver processes racing every SAT call; same optimum at every width.
+A sweep-shaped job list (duplicates included, as a bond-length sweep
+produces after coefficient-free fingerprinting) compiled one job after
+another in this process (``jobs=1``, the default engine) and then on 4
+worker processes, with the live progress events the CLI renders on
+stderr, and identical weights / optimality proofs at either worker
+count.
 
 Run:  python examples/parallel_batch.py
 """
@@ -24,7 +20,6 @@ from repro import (
     FermihedralConfig,
     SolverBudget,
 )
-from repro.core.descent import descend
 from repro.parallel.events import format_event
 
 
@@ -64,17 +59,5 @@ def demo_batch() -> None:
           f"results identical: {all(same)}")
 
 
-def demo_portfolio() -> None:
-    print("--- portfolio: diversified solvers race every SAT call ---")
-    for workers in (1, 2, 4):
-        started = time.monotonic()
-        result = descend(3, FermihedralConfig(portfolio=workers))
-        print(f"  portfolio={workers}: weight={result.weight} "
-              f"proved={result.proved_optimal} "
-              f"({time.monotonic() - started:.2f}s, "
-              f"{result.total_conflicts} conflicts)")
-
-
 if __name__ == "__main__":
     demo_batch()
-    demo_portfolio()

@@ -42,7 +42,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "DeviceTopology", "HardwareCost", "HardwareCostModel",
         "connectivity_weights", "get_device", "list_devices", "route_circuit",
     ),
-    "repro.parallel": ("PortfolioSolver", "ProcessBatchExecutor"),
+    "repro.parallel": ("ProcessBatchExecutor",),
     "repro.paulis": ("PauliString", "PauliSum"),
     "repro.service": ("CompilationService", "ServiceClient"),
     "repro.store": (
@@ -83,7 +83,6 @@ __all__ = [
     "NoiseModel",
     "PauliString",
     "PauliSum",
-    "PortfolioSolver",
     "ProcessBatchExecutor",
     "QuantumCircuit",
     "ServiceClient",

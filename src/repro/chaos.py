@@ -61,8 +61,8 @@ CHAOS_SEED_ENV = "REPRO_CHAOS_SEED"
 
 #: Every named fault point, at the layer where the real failure would hit:
 #: cache entry reads/writes, descent checkpoint persistence, worker-pool
-#: and portfolio process spawning, each SAT solve call, each HTTP request,
-#: and the job execution body itself.
+#: process spawning, each SAT solve call, each HTTP request, and the job
+#: execution body itself.
 FAULT_POINTS = (
     "cache.read",
     "cache.write",

@@ -3,7 +3,7 @@
 Subcommands::
 
     python -m repro solve     --modes 3 [--model hubbard:3] [--cache DIR]
-                              [--device grid-3x3] [--portfolio 4] [--stats]
+                              [--device grid-3x3] [--stats]
                               [--trace FILE.jsonl]
     python -m repro baselines --modes 4 [--model h2]
     python -m repro compile   --model h2 --encoding bk [--time 1.0]
@@ -30,9 +30,7 @@ cache hits synchronously, and fans the rest across worker processes.
 ``--url`` defaults to ``$REPRO_SERVICE_URL`` or
 ``http://127.0.0.1:8765``.
 
-Parallelism: ``--portfolio N`` races N diversified solver processes on
-every SAT call (deterministic logical-time racing; first definitive
-answer wins); ``batch --jobs N`` fans unique jobs across N worker
+Parallelism: ``batch --jobs N`` fans unique jobs across N worker
 processes with a live per-job status line on stderr; with ``--cache``,
 final cached results are answered before any worker starts, and the
 closing ``cache:`` line counts each job that misses twice (the batch's
@@ -54,12 +52,8 @@ job's progress stream to completion, ``repro jobs forensics ID``
 retrieves the flight-recorder dump of a failed job (breadcrumbs, open
 spans, metrics, traceback), and ``repro bench record/compare`` keeps an
 append-only perf-history ledger that flags >10% regressions between
-commits.  Given enough budget per SAT call, none of these
-knobs changes
-achieved weights or optimality proofs — only wall-clock time.  When a
-budget *is* exhausted, more parallelism can only answer more (a
-diversified racer may finish a bound the reference solver could not),
-never contradict a serial answer.
+commits.  Given enough budget per SAT call, none of these knobs
+changes achieved weights or optimality proofs — only wall-clock time.
 
 Model specs: ``h2``, ``hubbard:<sites>``, ``hubbard:<rows>x<cols>``,
 ``syk:<modes>``, ``electronic:<modes>``, ``tv:<sites>``.
@@ -139,7 +133,6 @@ def _config_from_args(args) -> FermihedralConfig:
         budget=SolverBudget(
             max_conflicts=args.max_conflicts, time_budget_s=args.budget_s
         ),
-        portfolio=args.portfolio or 1,
         jobs=getattr(args, "jobs_n", None) or 1,
         preprocess=not args.no_preprocess,
         proof=getattr(args, "proof", False),
@@ -167,10 +160,6 @@ def _add_solver_options(parser: argparse.ArgumentParser) -> None:
                         help="time budget per SAT call (default: 60)")
     parser.add_argument("--max-conflicts", type=int, default=None, metavar="N",
                         help="conflict budget per SAT call (default: unlimited)")
-    parser.add_argument("--portfolio", type=int, default=None, metavar="N",
-                        help="race N diversified solver processes on every "
-                             "SAT call; deterministic first-answer-wins "
-                             "(default: 1, in-process)")
     parser.add_argument("--no-preprocess", action="store_true",
                         help="solve the raw CNF instead of simplifying it "
                              "first (unit propagation, subsumption, bounded "
@@ -277,10 +266,6 @@ def _profiled(run):
 
 def cmd_solve(args) -> int:
     config = _config_from_args(args)
-    # --jobs is an alias for --portfolio; an explicit --portfolio (even
-    # --portfolio 1) always wins.
-    if args.jobs and args.jobs > 1 and args.portfolio is None:
-        config = config.with_parallelism(portfolio=args.jobs)
     # --proof-out implies --proof: asking for the artifact is asking for
     # the capture.
     if args.proof_out:
@@ -1269,9 +1254,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "objective (full-sat) or independent SAT optimum "
                             "plus annealed pairing (sat-anl)")
     _add_solver_options(solve)
-    solve.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker processes for this solve (alias for "
-                            "--portfolio, which wins if both are given)")
     solve.add_argument("--stats", action="store_true",
                        help="print solver statistics (conflicts, decisions, "
                             "propagations, restarts) per descent step")

@@ -21,25 +21,22 @@ METHOD_ANNEALING = "sat+annealing"
 COMPILE_METHODS = (METHOD_INDEPENDENT, METHOD_FULL_SAT, METHOD_ANNEALING)
 
 #: :class:`FermihedralConfig` fields that choose an *execution strategy*
-#: rather than a problem: given enough budget per SAT call they change
-#: only which of several equally-optimal models a run returns (and how
-#: fast), never the achieved weight or the optimality proof; when a
-#: budget is exhausted, more parallelism can only finish more bounds,
-#: never contradict fewer.  ``preprocess`` belongs here too: CNF
-#: simplification is satisfiability-preserving per bound (models are
-#: reconstructed onto the original variables), so achieved weights and
-#: optimality proofs are invariant.  ``proof`` is pure observation: it
-#: records what the solver did without changing a single decision.
+#: rather than a problem.  ``jobs`` only picks which worker process
+#: compiles a job; every job still runs one deterministic descent.
+#: ``preprocess`` simplifies the CNF satisfiability-preservingly per
+#: bound (models are reconstructed onto the original variables), so
+#: given enough budget per SAT call it changes only which of several
+#: equally-optimal models a run returns (and how fast), never the
+#: achieved weight or the optimality proof.  ``proof`` is pure
+#: observation: it records what the solver did without changing a single
+#: decision.  ``deadline_s`` is execution-only for the same reason a time
+#: budget would be: it decides when a run stops tightening, never what
+#: the optimum is, and a deadline-degraded result is unproved.
 #: ``repro.store.fingerprint`` excludes them from cache keys so serial,
-#: portfolio, multi-process and preprocessed runs of one job all share a
-#: cache entry (sound because unproved results are warm-start seeds, never
-#: final hits).  ``deadline_s`` is execution-only for the same reason a
-#: time budget would be: it decides when a run stops tightening, never
-#: what the optimum is, and a deadline-degraded result is unproved, so it
-#: stays a warm-start seed rather than a final hit.
-EXECUTION_ONLY_FIELDS = (
-    "portfolio", "jobs", "preprocess", "proof", "deadline_s",
-)
+#: multi-process, raw and preprocessed runs of one job all share a cache
+#: entry (sound because unproved results are warm-start seeds, never
+#: final hits).
+EXECUTION_ONLY_FIELDS = ("jobs", "preprocess", "proof", "deadline_s")
 
 
 @dataclass(frozen=True)
@@ -99,14 +96,11 @@ class FermihedralConfig:
             :func:`repro.hardware.cost.connectivity_weights`; ``None``
             keeps the paper's uniform objective.  Length must equal the
             mode count of the job using this config.
-        portfolio: number of diversified solver processes racing each SAT
-            call (:mod:`repro.parallel.portfolio`).  ``1`` solves
-            in-process with the reference configuration.
         jobs: default worker-process count for batch executors consuming
             this config (:mod:`repro.parallel.executor`); ``1`` is serial.
         preprocess: simplify the CNF (:mod:`repro.sat.preprocess` — unit
             propagation, subsumption, bounded variable elimination) before
-            building the descent solver and every portfolio worker.
+            building the descent solver.
             Encoding variables and ladder selectors are frozen,
             and SAT models are reconstructed onto the original variables,
             so decoded encodings, achieved weights and optimality proofs
@@ -127,13 +121,11 @@ class FermihedralConfig:
             never an error — with the bound it was still chasing recorded
             as ``target_bound``.
 
-        ``portfolio``, ``jobs``, ``preprocess``, ``proof`` and
-        ``deadline_s`` are execution-strategy knobs
-        (:data:`EXECUTION_ONLY_FIELDS`): with enough budget they change
-        only how fast the run reaches the same weight and proof (under an
-        exhausted budget, more parallelism can only answer more, never
-        contradict) or what is recorded about it, so they are excluded
-        from cache fingerprints.
+        ``jobs``, ``preprocess``, ``proof`` and ``deadline_s`` are
+        execution-strategy knobs (:data:`EXECUTION_ONLY_FIELDS`): with
+        enough budget they change only how fast the run reaches the same
+        weight and proof, or what is recorded about it, so they are
+        excluded from cache fingerprints.
     """
 
     algebraic_independence: bool = True
@@ -145,7 +137,6 @@ class FermihedralConfig:
     max_repairs: int = 32
     strategy: str = "linear"
     qubit_weights: tuple[int, ...] | None = None
-    portfolio: int = 1
     jobs: int = 1
     preprocess: bool = True
     proof: bool = False
@@ -156,8 +147,6 @@ class FermihedralConfig:
             raise ValueError(f"unknown descent strategy: {self.strategy!r}")
         if self.deadline_s is not None and not self.deadline_s > 0:
             raise ValueError("deadline_s must be positive (or None)")
-        if self.portfolio < 1:
-            raise ValueError("portfolio must be at least 1 worker")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1 process")
         if self.qubit_weights is not None:
@@ -177,7 +166,6 @@ class FermihedralConfig:
 
     def with_parallelism(
         self,
-        portfolio: int | None = None,
         jobs: int | None = None,
         preprocess: bool | None = None,
         proof: bool | None = None,
@@ -186,7 +174,6 @@ class FermihedralConfig:
         keeps the current value)."""
         return dataclasses.replace(
             self,
-            portfolio=self.portfolio if portfolio is None else portfolio,
             jobs=self.jobs if jobs is None else jobs,
             preprocess=self.preprocess if preprocess is None else preprocess,
             proof=self.proof if proof is None else proof,

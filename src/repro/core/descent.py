@@ -15,12 +15,10 @@ encoding is found by iterated bound tightening.  Two strategies:
 Either strategy runs on one engine: it builds the CNF and a shared
 totalizer ladder once and answers each bound with a one-literal
 assumption on a persistent solver, so learned clauses survive between
-rungs.  ``config.portfolio > 1`` races that persistent instance across
-diversified worker processes.  When every qubit weighs the same in the
-objective, the CNF also orders the qubit columns
-(:meth:`FermihedralEncoder.add_column_lex`), so the solver refutes one
-labelling of the qubits instead of up to ``N!``, and the warm-start
-encoding is relabelled into that order.
+rungs.  When every qubit weighs the same in the objective, the CNF also
+orders the qubit columns (:meth:`FermihedralEncoder.add_column_lex`), so
+the solver refutes one labelling of the qubits instead of up to ``N!``,
+and the warm-start encoding is relabelled into that order.
 
 Neither ``config.algebraic_independence`` setting emits the power-set
 algebraic-independence family of Section 3.4: ``2N`` pairwise-
@@ -55,6 +53,9 @@ BISECTION = "bisection"
 #: Sentinel for ``solve_at(time_budget_s=...)``: "use the config budget".
 #: (``None`` is taken — it means unlimited.)
 _USE_CONFIG = object()
+#: The ``engine`` attribute of descent spans, progress events and proof
+#: metadata (a wire value dashboards and stored proofs carry).
+_ENGINE = "incremental"
 
 
 class DependentModelError(RuntimeError):
@@ -326,16 +327,8 @@ class _IncrementalBoundSolver:
     solver backend is first simplified by :func:`repro.sat.preprocess.
     preprocess` — encoding variables and ladder selectors frozen, so
     assumptions and warm-start phases keep their meaning — and every SAT
-    model is lifted back onto the original
-    variables before decoding.  Preprocessing happens once per descent,
-    ahead of solver construction, so a portfolio pays it once and every
-    worker starts from the smaller formula.
-
-    With ``config.portfolio > 1`` the persistent instance is raced by a
-    deterministic portfolio of diversified worker processes
-    (:class:`repro.parallel.portfolio.PortfolioSolver`) instead of a
-    single in-process solver; both backends share the
-    ``solve(assumptions=...)`` / ``add_clause`` / ``set_phases`` surface.
+    model is lifted back onto the original variables before decoding.
+    Preprocessing happens once per descent, ahead of solver construction.
     """
 
     def __init__(
@@ -354,9 +347,6 @@ class _IncrementalBoundSolver:
         self.hamiltonian = hamiltonian
         self.phases = phases
         self.telemetry = telemetry
-        self.engine_name = (
-            "portfolio" if config.portfolio > 1 else "incremental"
-        )
         self.solve_time_s = 0.0
         self.preprocess_time_s = 0.0
         self.last_unsat_trace = None
@@ -406,29 +396,10 @@ class _IncrementalBoundSolver:
             self.preprocess_time_s = time.monotonic() - started
             self._reconstruct = simplified.reconstruct
             formula = simplified.formula
-        if self.config.portfolio > 1:
-            from repro.parallel.portfolio import PortfolioSolver
-
-            self._solver = PortfolioSolver(
-                formula,
-                workers=self.config.portfolio,
-                seed_phases=self.phases,
-                proof=self._proof_log,
-                telemetry=self.telemetry,
-            )
-        else:
-            self._solver = CdclSolver(
-                formula, seed_phases=self.phases, proof=self._proof_log,
-                telemetry=self.telemetry,
-            )
-
-    def close(self) -> None:
-        """Release the solver backend (portfolio worker processes)."""
-        if self._solver is not None:
-            closer = getattr(self._solver, "close", None)
-            if closer is not None:
-                closer()
-            self._solver = None
+        self._solver = CdclSolver(
+            formula, seed_phases=self.phases, proof=self._proof_log,
+            telemetry=self.telemetry,
+        )
 
     def solve_at(
         self, bound: int, time_budget_s=_USE_CONFIG,
@@ -468,7 +439,7 @@ class _IncrementalBoundSolver:
                     self._base_formula,
                     self._proof_log,
                     assumptions=(selector,),
-                    meta={"bound": bound, "engine": "incremental"},
+                    meta={"bound": bound, "engine": _ENGINE},
                     claim=(None if self._claim is None
                            else dict(self._claim, bound=bound)),
                 )
@@ -597,8 +568,7 @@ def descend(
     eta = RungEtaEstimator()
     if progress is not None:
         progress.emit("descent", modes=num_modes, strategy=config.strategy,
-                      engine=bound_solver.engine_name,
-                      start_weight=best_weight)
+                      engine=_ENGINE, start_weight=best_weight)
         if resumed_cp is not None:
             progress.emit("descent.resume", weight=best_weight,
                           completed_rungs=len(prior_steps),
@@ -638,14 +608,14 @@ def descend(
     # repro-lint: hot-path
     def solve_rung(bound: int, time_budget_s=_USE_CONFIG):
         with _span(telemetry, "descent.rung", bound=bound,
-                   engine=bound_solver.engine_name) as attrs:
+                   engine=_ENGINE) as attrs:
             if progress is not None:
                 # Implicit fields for every heartbeat the solver emits
                 # inside this rung: the current bound/engine, plus the
                 # ladder's conflict estimate so the bus can derive an ETA
                 # from the live conflict rate.
                 with progress.context(
-                        bound=bound, engine=bound_solver.engine_name,
+                        bound=bound, engine=_ENGINE,
                         expected_conflicts=eta.expected_conflicts()):
                     step, candidate = bound_solver.solve_at(bound, time_budget_s)
             else:
@@ -655,105 +625,100 @@ def descend(
                 eta.observe(step.conflicts)
                 rate = (step.conflicts / step.elapsed_s
                         if step.elapsed_s > 0 else 0.0)
-                progress.emit("rung", bound=bound,
-                              engine=bound_solver.engine_name,
+                progress.emit("rung", bound=bound, engine=_ENGINE,
                               status=step.status, conflicts=step.conflicts,
                               conflicts_per_s=round(rate, 1),
                               elapsed_s=round(step.elapsed_s, 3))
             return step, candidate
 
     descent_span = _span(telemetry, "descent", modes=num_modes,
-                         strategy=config.strategy,
-                         engine=bound_solver.engine_name)
+                         strategy=config.strategy, engine=_ENGINE)
     with descent_span as descent_attrs:
-        try:
-            if config.strategy == BISECTION:
-                lower = _structural_lower_bound(
-                    num_modes, hamiltonian, config.qubit_weights
-                )
-                upper = best_weight  # best known achievable
-                if config.start_weight is not None:
-                    upper = min(upper, max(config.start_weight, lower))
-                if resumed_cp is not None:
-                    # Restore the surviving search window: SAT rungs shrank
-                    # ``upper`` (the restored baseline already reflects
-                    # that), UNSAT rungs raised ``lower`` — progress a
-                    # cache warm start alone would lose.
-                    if resumed_cp.lower is not None:
-                        lower = max(lower, resumed_cp.lower)
-                    if resumed_cp.upper is not None:
-                        upper = min(upper, resumed_cp.upper)
-                if lower < upper:
-                    # Bounds move both ways inside [lower, upper); the ladder
-                    # only needs to cover the loosest one.
-                    with _span(telemetry, "descent.prepare"):
-                        bound_solver.prepare(upper - 1)
-                while lower < upper:
-                    budget_s, expired = rung_budget()
-                    bound = (lower + upper - 1) // 2
-                    if expired:
-                        deadline_hit, target_bound = True, bound
-                        break
-                    step, candidate = solve_rung(bound, budget_s)
-                    steps.append(step)
-                    if candidate is not None:
-                        best_encoding = candidate
-                        best_weight = step.achieved_weight
-                        upper = step.achieved_weight
-                    elif step.status == "UNSAT":
-                        lower = bound + 1
-                    else:
-                        # Budget exhausted: cannot conclude.  Under a
-                        # deadline this is degradation, not exhaustion.
-                        if deadline is not None and time.monotonic() >= deadline:
-                            deadline_hit, target_bound = True, bound
-                        break
-                    save_checkpoint(upper - 1, lower=lower, upper=upper)
-                # Optimality needs the interval closed AND the returned
-                # encoding sitting exactly on it: a start_weight clamped
-                # below the true optimum can close [lower, upper] without
-                # ever probing the range up to the baseline's weight — that
-                # is exhaustion, not a proof.
-                proved_optimal = (
-                    lower == upper
-                    and best_weight == upper
-                    and (not steps or steps[-1].status in ("SAT", "UNSAT"))
-                )
-            else:
-                next_bound = best_weight - 1
-                if config.start_weight is not None:
-                    next_bound = min(next_bound, config.start_weight)
-                if resumed_cp is not None:
-                    next_bound = min(next_bound, resumed_cp.next_bound)
-                if next_bound >= 0:
-                    with _span(telemetry, "descent.prepare"):
-                        bound_solver.prepare(next_bound)  # bounds only tighten
-                while next_bound >= 0:
-                    budget_s, expired = rung_budget()
-                    if expired:
-                        deadline_hit, target_bound = True, next_bound
-                        break
-                    step, candidate = solve_rung(next_bound, budget_s)
-                    steps.append(step)
-                    if candidate is not None:
-                        best_encoding = candidate
-                        best_weight = step.achieved_weight
-                        next_bound = step.achieved_weight - 1
-                        save_checkpoint(next_bound)
-                        continue
-                    # UNSAT is a proof only when the failed bound sits
-                    # directly below the returned weight; an UNSAT at a
-                    # start_weight far under the baseline leaves the gap
-                    # (bound, best_weight) unexplored.
-                    proved_optimal = (
-                        step.status == "UNSAT" and next_bound == best_weight - 1
-                    )
-                    if not proved_optimal and deadline is not None \
-                            and time.monotonic() >= deadline:
-                        deadline_hit, target_bound = True, next_bound
+        if config.strategy == BISECTION:
+            lower = _structural_lower_bound(
+                num_modes, hamiltonian, config.qubit_weights
+            )
+            upper = best_weight  # best known achievable
+            if config.start_weight is not None:
+                upper = min(upper, max(config.start_weight, lower))
+            if resumed_cp is not None:
+                # Restore the surviving search window: SAT rungs shrank
+                # ``upper`` (the restored baseline already reflects
+                # that), UNSAT rungs raised ``lower`` — progress a
+                # cache warm start alone would lose.
+                if resumed_cp.lower is not None:
+                    lower = max(lower, resumed_cp.lower)
+                if resumed_cp.upper is not None:
+                    upper = min(upper, resumed_cp.upper)
+            if lower < upper:
+                # Bounds move both ways inside [lower, upper); the ladder
+                # only needs to cover the loosest one.
+                with _span(telemetry, "descent.prepare"):
+                    bound_solver.prepare(upper - 1)
+            while lower < upper:
+                budget_s, expired = rung_budget()
+                bound = (lower + upper - 1) // 2
+                if expired:
+                    deadline_hit, target_bound = True, bound
                     break
-        finally:
-            bound_solver.close()
+                step, candidate = solve_rung(bound, budget_s)
+                steps.append(step)
+                if candidate is not None:
+                    best_encoding = candidate
+                    best_weight = step.achieved_weight
+                    upper = step.achieved_weight
+                elif step.status == "UNSAT":
+                    lower = bound + 1
+                else:
+                    # Budget exhausted: cannot conclude.  Under a
+                    # deadline this is degradation, not exhaustion.
+                    if deadline is not None and time.monotonic() >= deadline:
+                        deadline_hit, target_bound = True, bound
+                    break
+                save_checkpoint(upper - 1, lower=lower, upper=upper)
+            # Optimality needs the interval closed AND the returned
+            # encoding sitting exactly on it: a start_weight clamped
+            # below the true optimum can close [lower, upper] without
+            # ever probing the range up to the baseline's weight — that
+            # is exhaustion, not a proof.
+            proved_optimal = (
+                lower == upper
+                and best_weight == upper
+                and (not steps or steps[-1].status in ("SAT", "UNSAT"))
+            )
+        else:
+            next_bound = best_weight - 1
+            if config.start_weight is not None:
+                next_bound = min(next_bound, config.start_weight)
+            if resumed_cp is not None:
+                next_bound = min(next_bound, resumed_cp.next_bound)
+            if next_bound >= 0:
+                with _span(telemetry, "descent.prepare"):
+                    bound_solver.prepare(next_bound)  # bounds only tighten
+            while next_bound >= 0:
+                budget_s, expired = rung_budget()
+                if expired:
+                    deadline_hit, target_bound = True, next_bound
+                    break
+                step, candidate = solve_rung(next_bound, budget_s)
+                steps.append(step)
+                if candidate is not None:
+                    best_encoding = candidate
+                    best_weight = step.achieved_weight
+                    next_bound = step.achieved_weight - 1
+                    save_checkpoint(next_bound)
+                    continue
+                # UNSAT is a proof only when the failed bound sits
+                # directly below the returned weight; an UNSAT at a
+                # start_weight far under the baseline leaves the gap
+                # (bound, best_weight) unexplored.
+                proved_optimal = (
+                    step.status == "UNSAT" and next_bound == best_weight - 1
+                )
+                if not proved_optimal and deadline is not None \
+                        and time.monotonic() >= deadline:
+                    deadline_hit, target_bound = True, next_bound
+                break
         descent_attrs.update(weight=best_weight, proved_optimal=proved_optimal,
                              sat_calls=len(steps), degraded=deadline_hit)
 

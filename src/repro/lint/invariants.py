@@ -666,7 +666,7 @@ RULES = [
         severity=SEVERITY_ERROR,
         summary="worker-shipped classes with locks/handles define __getstate__",
         rationale=(
-            "Objects crossing the ProcessBatchExecutor/portfolio boundary "
+            "Objects crossing the ProcessBatchExecutor process boundary "
             "are pickled. threading primitives and open file handles do not "
             "pickle; a class marked `# repro-lint: worker-shipped` that "
             "holds one must define __getstate__/__reduce__ (the "

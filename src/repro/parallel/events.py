@@ -22,7 +22,8 @@ from typing import Callable, Union
 
 @dataclass(frozen=True)
 class BatchStarted:
-    """A batch run begins: ``total`` jobs, ``unique`` after deduplication."""
+    """A batch run begins: ``total`` jobs, ``unique`` after deduplication,
+    compiled on ``workers`` workers (0 when the cache answers them all)."""
 
     total: int
     unique: int

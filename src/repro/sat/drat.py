@@ -52,8 +52,7 @@ class ProofLog:
     """Append-only DRAT event sink shared by the preprocessor and solver.
 
     The log is deliberately dumb — two lists — so that emission costs a
-    method call and an append, nothing more, and so a portfolio worker
-    can ship its log across a pipe as plain tuples.
+    method call and an append, nothing more.
     """
 
     __slots__ = ("lines", "axioms")

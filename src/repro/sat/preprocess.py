@@ -4,9 +4,8 @@ Modern SAT solvers owe much of their speed to formula preprocessing
 (Eén & Biere 2005): the Tseitin-heavy instances the Fermihedral encoder
 emits are full of single-use gate variables, subsumed clauses and
 root-level units, and shrinking the formula before search multiplies
-every downstream engine — the sequential solver, the incremental descent
-ladder and every portfolio worker all propagate over the simplified
-clause database.
+every downstream engine — the solver and the incremental descent ladder
+both propagate over the simplified clause database.
 
 Techniques, applied to fixpoint (bounded by ``max_rounds``):
 
@@ -67,6 +66,9 @@ from repro.sat.cnf import CnfFormula
 #: variable busier than this is never a good elimination candidate and
 #: checking it would make the resolvent scan quadratic.
 DEFAULT_BVE_OCCURRENCE_LIMIT = 20
+
+#: The occurrence set of a literal no clause holds.
+_NONE: frozenset[int] = frozenset()
 
 
 @dataclass
@@ -162,18 +164,6 @@ class PreprocessResult:
         return extended
 
 
-def _signature(clause: Iterable[int]) -> int:
-    """61-bit subsumption filter: ``sig(C) & ~sig(D)`` nonzero ⇒ C ⊄ D.
-
-    Each literal sets one of 61 bits, so a clause missing ``k`` literals
-    of ``C`` leaves at most ``k`` bits of ``sig(C) & ~sig(D)`` set.
-    """
-    sig = 0
-    for literal in clause:
-        sig |= 1 << ((literal * 2 if literal > 0 else -literal * 2 + 1) % 61)
-    return sig
-
-
 class _Simplifier:
     """Mutable working state of one preprocessing run.
 
@@ -194,7 +184,6 @@ class _Simplifier:
         self.frozen = frozen
         self.proof = proof
         self.clauses: list[set[int] | None] = []
-        self.sigs: list[int] = []  # cached subsumption signatures, per index
         self.touched: list[int] = []  # clauses new/changed since last subsumption
         self.occurs: dict[int, set[int]] = {}
         # dirty[v]: v's occurrence lists changed since BVE last looked at
@@ -225,7 +214,6 @@ class _Simplifier:
     def _add_clause(self, literals: set[int]) -> int:
         index = len(self.clauses)
         self.clauses.append(literals)
-        self.sigs.append(_signature(literals))
         self.touched.append(index)
         dirty = self.dirty
         for literal in literals:
@@ -251,7 +239,6 @@ class _Simplifier:
         for other in clause:
             dirty[abs(other)] = 1
         clause.discard(literal)
-        self.sigs[index] = _signature(clause)
         bucket = self.occurs.get(literal)
         if bucket is not None:
             bucket.discard(index)
@@ -309,22 +296,24 @@ class _Simplifier:
         queue with everything.  Returns True when any clause was removed
         or strengthened.
 
-        For a subsumer ``C`` one scan over the occurrences of its two
-        rarest literals ``r1`` and ``r2`` finds both kinds of partner: a
-        superset ``D ⊇ C`` holds ``r1``, and a self-subsumption partner
-        ``D ⊇ (C \\ {l}) ∪ {-l}`` holds ``r1`` (when ``l ≠ r1``) or ``r2``
-        (when ``l = r1``).  Whether ``D`` is a hit depends on ``C`` and
-        ``D`` alone, and applying one hit never makes or unmakes another:
-        a ``D`` is a superset or a partner for one ``l`` at most, and a
-        strengthened ``D`` lacks ``l`` itself.  The hits are applied in
-        the order a scan of ``occurs[r1]`` and then of ``occurs[-l]`` for
-        each ``l`` of ``C`` meets them.
+        A hit for a subsumer ``C`` holds every literal of ``C`` but at
+        most one, ``l``: a superset ``D ⊇ C``, or a self-subsumption
+        partner ``D ⊇ (C \\ {l}) ∪ {-l}``.  So with ``r1`` and ``r2``
+        the two rarest literals of ``C``, supersets and partners for
+        ``l ∉ {r1, r2}`` lie in ``occurs[r1] & occurs[r2]``, partners for
+        ``l = r1`` in ``occurs[-r1] & occurs[r2]``, and partners for
+        ``l = r2`` in ``occurs[r1] & occurs[-r2]``.  Whether ``D`` is a
+        hit depends on ``C`` and ``D`` alone, and applying one hit never
+        makes or unmakes another: a ``D`` is a superset or a partner for
+        one ``l`` at most, and a strengthened ``D`` lacks ``l`` itself.
+        Supersets are removed in the order a scan of ``occurs[r1]`` meets
+        them, and the partners for each ``l`` of ``C`` are applied in the
+        order a scan of ``occurs[-l]`` meets them.
         """
         changed = False
         proof = self.proof
         clauses = self.clauses
         occurs = self.occurs
-        sigs = self.sigs
         queue = [index for index in self.touched if clauses[index] is not None]
         self.touched = []
         while queue:
@@ -332,34 +321,34 @@ class _Simplifier:
             clause = clauses[index]
             if clause is None:
                 continue
-            sig = sigs[index]
             size = len(clause)
             # The stable sort keeps the first of equally rare literals.
             first, second = sorted(
                 clause, key=lambda lit: len(occurs.get(lit, ())))[:2]
-            # Partners for l = first hold both second and -first.
-            pool = occurs.get(second, ())
-            negated = occurs.get(-first, ())
-            if len(negated) < len(pool):
-                pool = negated
+            with_first = occurs[first]
+            with_second = occurs[second]
             supersets: list[int] = []
             partners: dict[int, list[int]] = {}  # l -> clauses holding -l
-            # 0 is no literal: the scan of first skips nothing.
-            for scanned, met in ((occurs.get(first, ()), 0), (pool, first)):
-                for other_index in scanned:
-                    # A hit misses at most one literal of C, hence sets
-                    # at most one bit here.
-                    missing = sig & ~sigs[other_index]
-                    if missing & (missing - 1):
-                        continue
+            for other_index in with_first & with_second:
+                other = clauses[other_index]
+                if other_index == index or len(other) < size:
+                    continue
+                outside = [lit for lit in clause if lit not in other]
+                if not outside:
+                    supersets.append(other_index)
+                elif len(outside) == 1 and -outside[0] in other:
+                    partners.setdefault(outside[0], []).append(other_index)
+            for literal, candidates in (
+                    (first, occurs.get(-first, _NONE) & with_second),
+                    (second, with_first & occurs.get(-second, _NONE))):
+                for other_index in candidates:
                     other = clauses[other_index]
-                    if met in other or other_index == index or len(other) < size:
-                        continue  # met in the scan of first, C itself, too short
-                    outside = [lit for lit in clause if lit not in other]
-                    if not outside:
-                        supersets.append(other_index)
-                    elif len(outside) == 1 and -outside[0] in other:
-                        partners.setdefault(outside[0], []).append(other_index)
+                    if len(other) >= size and all(
+                            lit in other for lit in clause if lit != literal):
+                        partners.setdefault(literal, []).append(other_index)
+            if len(supersets) > 1:
+                wanted = set(supersets)
+                supersets = [i for i in with_first if i in wanted]
             for other_index in supersets:
                 if proof is not None:
                     proof.delete(sorted(clauses[other_index]))
@@ -543,7 +532,6 @@ class _Simplifier:
                     continue
                 else:
                     clause.add(new_literal)
-                    self.sigs[index] = _signature(clause)
                     self.occurs.setdefault(new_literal, set()).add(index)
                     self.dirty[abs(new_literal)] = 1
                 if proof is not None:

@@ -18,11 +18,6 @@ makes the weight-descent ladder in :mod:`repro.core.descent` cheap: one
 CNF, one clause database, a tightening bound expressed as a one-literal
 assumption per step.
 
-Branching, restarts and phase polarity are parameterizable so a portfolio
-(:mod:`repro.parallel.portfolio`) can race diversified copies of the same
-instance; the defaults reproduce the original single-configuration solver
-exactly.
-
 Hot-loop layout — flat, not object-per-clause
 ---------------------------------------------
 
@@ -75,7 +70,6 @@ as ``2*v`` (positive) / ``2*v + 1`` (negative) for array indexing.
 from __future__ import annotations
 
 import heapq
-import random
 import time
 from dataclasses import dataclass, field
 
@@ -101,22 +95,13 @@ _FREE, _TRUE, _FALSE = 0, 1, 2
 class SolverStats:
     """Search-effort counters shared by every layer that reports them.
 
-    One vocabulary across :class:`SolveResult`, descent steps, and
-    portfolio worker replies; addition aggregates contributions.
+    One vocabulary across :class:`SolveResult` and descent steps.
     """
 
     conflicts: int = 0
     decisions: int = 0
     propagations: int = 0
     restarts: int = 0
-
-    def __add__(self, other: "SolverStats") -> "SolverStats":
-        return SolverStats(
-            conflicts=self.conflicts + other.conflicts,
-            decisions=self.decisions + other.decisions,
-            propagations=self.propagations + other.propagations,
-            restarts=self.restarts + other.restarts,
-        )
 
     def as_dict(self) -> dict:
         return {
@@ -193,14 +178,6 @@ class CdclSolver:
         formula: the CNF instance; not mutated.
         seed_phases: optional initial saved phases ``{variable: bool}`` —
             warm-starting descent iterations near the previous model.
-        restart_base: Luby restart multiplier (conflicts per unit).
-        activity_decay: VSIDS decay factor in ``(0, 1)``.
-        phase_default: polarity branched first for variables without a
-            saved phase (``False`` reproduces the original solver).
-        random_seed: seed for the random-branching RNG; ``None`` disables
-            random branching regardless of ``random_branch_freq``.
-        random_branch_freq: probability a decision picks a uniformly
-            random unassigned variable instead of the VSIDS maximum.
         proof: optional :class:`repro.sat.drat.ProofLog`.  When set, every
             learnt clause is logged as a DRAT addition, every clause the
             reduction pass drops as a DRAT deletion, and every clause
@@ -215,10 +192,6 @@ class CdclSolver:
             boundaries and call exit, never inside the inner loop, so
             the overhead discipline matches proof logging: ``None``
             costs nothing.
-
-    The four tuning knobs exist for portfolio diversification
-    (:mod:`repro.parallel.portfolio`); all defaults together are the
-    reference configuration.
     """
 
     def __init__(
@@ -226,11 +199,6 @@ class CdclSolver:
         formula: CnfFormula,
         seed_phases: dict[int, bool] | None = None,
         *,
-        restart_base: int = _RESTART_BASE,
-        activity_decay: float = _ACTIVITY_DECAY,
-        phase_default: bool = False,
-        random_seed: int | None = None,
-        random_branch_freq: float = 0.0,
         proof=None,
         telemetry=None,
     ):
@@ -264,7 +232,7 @@ class CdclSolver:
         self.watches: list[list[int]] = [[] for _ in range(2 * n + 2)]
         self.activity = [0.0] * (n + 1)
         self.var_inc = 1.0
-        self.saved_phase = [phase_default] * (n + 1)
+        self.saved_phase = [False] * (n + 1)
         # Variables that appear in no clause need never be decided: models
         # report their saved phase directly.  Preprocessed instances leave
         # many eliminated variables in the pool (literal numbering must
@@ -289,12 +257,6 @@ class CdclSolver:
         self.clause_inc = 1.0
         self.root_conflict = False
         self.propagation_count = 0
-        self.restart_base = restart_base
-        self.activity_decay = activity_decay
-        if not 0.0 <= random_branch_freq <= 1.0:
-            raise ValueError("random_branch_freq must lie in [0, 1]")
-        self.random_branch_freq = random_branch_freq if random_seed is not None else 0.0
-        self._rng = random.Random(random_seed) if random_seed is not None else None
 
         if seed_phases:
             for variable, phase in seed_phases.items():
@@ -557,17 +519,10 @@ class CdclSolver:
         self.queued[:] = in_use
 
     def _decay_activities(self) -> None:
-        self.var_inc /= self.activity_decay
+        self.var_inc /= _ACTIVITY_DECAY
 
     # repro-lint: hot-path
     def _pick_branch_variable(self) -> int | None:
-        if self._rng is not None and self._rng.random() < self.random_branch_freq:
-            # Diversification: a bounded number of uniform draws; falls
-            # through to VSIDS when they all land on assigned variables.
-            for _ in range(8):
-                variable = self._rng.randint(1, self.num_vars)
-                if self.assign[variable << 1] == _FREE and self.in_use[variable]:
-                    return variable
         heap = self.order_heap
         activity = self.activity
         queued = self.queued
@@ -914,7 +869,7 @@ class CdclSolver:
             self.root_conflict = True
             return result(UNSAT)
 
-        restart_limit = luby(1) * self.restart_base
+        restart_limit = luby(1) * _RESTART_BASE
         conflicts_since_restart = 0
         assign = self.assign
 
@@ -941,7 +896,7 @@ class CdclSolver:
             if conflicts_since_restart >= restart_limit:
                 restarts += 1
                 conflicts_since_restart = 0
-                restart_limit = luby(restarts + 1) * self.restart_base
+                restart_limit = luby(restarts + 1) * _RESTART_BASE
                 self._backtrack(0)
                 if len(self.learned) > max_learned:
                     self._reduce_learned()

@@ -620,15 +620,12 @@ class BatchCompiler:
                 primary_index.setdefault(key, index)
 
         unique = [(keys[i], jobs[i]) for i in sorted(primary_index.values())]
-        self._emit(BatchStarted(
-            total=len(jobs),
-            unique=len(unique),
-            deduplicated=len(jobs) - len(unique) - len(key_errors),
-            workers=min(self.jobs, max(len(unique), 1)),
-        ))
         primary_outcomes: dict[str, JobOutcome] = {}
         to_compile: list[tuple[str, CompileJob]] = []
         positions: list[int] = []  # index in ``unique`` of each to_compile job
+        # Held back until ``BatchStarted``, which can only count the
+        # workers once the hits are known.
+        hit_events: list = []
         for index, (key, job) in enumerate(unique):
             hit_started = time.monotonic()
             cached = final_cached_result(self.cache, job, key, self.telemetry)
@@ -640,10 +637,22 @@ class BatchCompiler:
                                  result=cached,
                                  elapsed_s=time.monotonic() - hit_started)
             primary_outcomes[key] = outcome
-            self._emit(JobStarted(index, len(unique), job.display, key))
-            self._emit(JobFinished(index, len(unique), job.display, key,
-                                   outcome.status, outcome.elapsed_s,
-                                   weight=cached.weight))
+            hit_events += [
+                JobStarted(index, len(unique), job.display, key),
+                JobFinished(index, len(unique), job.display, key,
+                            outcome.status, outcome.elapsed_s,
+                            weight=cached.weight),
+            ]
+        # Both engines run min(jobs, len(to_compile)) workers; none when
+        # every job was a hit.
+        self._emit(BatchStarted(
+            total=len(jobs),
+            unique=len(unique),
+            deduplicated=len(jobs) - len(unique) - len(key_errors),
+            workers=min(self.jobs, len(to_compile)),
+        ))
+        for event in hit_events:
+            self._emit(event)
 
         def renumber(event) -> None:
             # Engines number the work they were handed; events count the

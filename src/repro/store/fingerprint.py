@@ -55,12 +55,12 @@ def canonical_config(config: FermihedralConfig) -> dict:
     Derived field-by-field from the dataclass so a future config field
     changes the fingerprint automatically (fails closed) instead of
     silently colliding with pre-existing keys.  Execution-strategy fields
-    (:data:`repro.core.config.EXECUTION_ONLY_FIELDS` — portfolio, jobs,
-    preprocess, proof, deadline_s) are excluded: they decide *how* a job
-    is solved, not *what* it computes.  Any of several equally-optimal
-    encodings may come back, but the achieved weight and optimality proof
-    are invariant, which is the identity the cache promises — and serial /
-    portfolio / multi-process runs of one job must share an entry.
+    (:data:`repro.core.config.EXECUTION_ONLY_FIELDS` — jobs, preprocess,
+    proof, deadline_s) are excluded: they decide *how* a job is solved,
+    not *what* it computes.  Any of several equally-optimal encodings may
+    come back, but the achieved weight and optimality proof are
+    invariant, which is the identity the cache promises — and serial /
+    multi-process runs of one job must share an entry.
     """
     data = dataclasses.asdict(config)
     for name in EXECUTION_ONLY_FIELDS:

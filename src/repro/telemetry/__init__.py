@@ -9,10 +9,10 @@ cache, and service: every instrumented site gates on ``telemetry is
 None``, so a process that never constructs one pays nothing — the same
 zero-cost-when-off discipline the solver's DRAT logging established.
 
-Cross-process relay: worker processes (portfolio racers,
-``ProcessBatchExecutor`` children) build their own local ``Telemetry``,
-then :meth:`Telemetry.drain_relay` a plain-data payload back with each
-result over the existing pipe/pickle plumbing.  The parent
+Cross-process relay: ``ProcessBatchExecutor`` worker processes build
+their own local ``Telemetry``, then :meth:`Telemetry.drain_relay` a
+plain-data payload back with each result over the existing pipe/pickle
+plumbing.  The parent
 :meth:`Telemetry.absorb_relay`\\ s it — counter/histogram deltas merge
 additively (exactly once, because draining resets the export mark),
 span ids are remapped into the parent's id space, and progress events

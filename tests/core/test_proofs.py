@@ -3,8 +3,8 @@
 The tentpole property: a ``proof=True`` run whose descent proves
 optimality yields a :class:`repro.sat.drat.ProofTrace` that the
 independent checker accepts — with and without preprocessing, linear
-and bisection, in-process and portfolio racing — and the compiler/cache
-layers carry the artifact without perturbing fingerprints.
+and bisection — and the compiler/cache layers carry the artifact
+without perturbing fingerprints.
 """
 
 from __future__ import annotations
@@ -51,13 +51,6 @@ class TestDescentEngines:
         assert result.proved_optimal
         assert result.proof_trace is not None
         assert check_trace(result.proof_trace).ok
-
-    def test_portfolio_winner_trace_verifies(self):
-        result = descend(2, config=_proof_config(portfolio=2))
-        assert result.proved_optimal
-        assert result.proof_trace is not None
-        verdict = check_trace(result.proof_trace)
-        assert verdict.ok, verdict.reason
 
     def test_proof_off_captures_nothing(self):
         result = descend(2, config=_proof_config(proof=False))

@@ -151,6 +151,22 @@ class TestBatchCompilerProcessPath:
         )
         assert [o.status for o in rerun.outcomes] == ["cache-hit", "cache-hit"]
 
+    @pytest.mark.parametrize("extra, workers", [([], 0), ([_job(4, "c")], 1)],
+                             ids=["all-hits", "one-miss"])
+    def test_batch_started_counts_only_the_workers_that_start(
+            self, tmp_path, extra, workers):
+        jobs = [_job(2, "a"), _job(3, "b")]
+        BatchCompiler(cache=CompilationCache(tmp_path), jobs=2).compile(jobs)
+        events = []
+        BatchCompiler(cache=CompilationCache(tmp_path), jobs=2,
+                      on_event=events.append).compile(jobs + extra)
+        # Front-door hits start no worker, and BatchStarted still leads.
+        assert isinstance(events[0], BatchStarted)
+        assert events[0].workers == workers
+        hits = [e for e in events
+                if isinstance(e, JobFinished) and e.status == "cache-hit"]
+        assert len(hits) == 2
+
 
 class TestInProcessEngine:
     def test_failed_job_forensics_hold_only_its_own_work(self):

@@ -232,10 +232,19 @@ class TestIdempotence:
 _preprocess_module = importlib.import_module("repro.sat.preprocess")
 
 
+def _signature(clause) -> int:
+    """61-bit subsumption filter: ``sig(C) & ~sig(D)`` nonzero ⇒ C ⊄ D."""
+    sig = 0
+    for literal in clause:
+        sig |= 1 << ((literal * 2 if literal > 0 else -literal * 2 + 1) % 61)
+    return sig
+
+
 class _FullSweepSimplifier(_preprocess_module._Simplifier):
     """The reference the incremental passes must match line for line:
     BVE looks at every variable in every round, and self-subsumption
-    scans ``occurs[-l]`` once per literal ``l`` of the subsumer."""
+    scans ``occurs[-l]`` once per literal ``l`` of the subsumer, behind
+    a signature filter of its own."""
 
     def subsumption_round(self) -> bool:
         changed = False
@@ -247,16 +256,15 @@ class _FullSweepSimplifier(_preprocess_module._Simplifier):
             clause = self.clauses[index]
             if clause is None:
                 continue
-            sig = self.sigs[index]
-            sigs = self.sigs
+            sig = _signature(clause)
             pivot = min(clause, key=lambda lit: len(self.occurs.get(lit, ())))
             for other_index in list(self.occurs.get(pivot, ())):
                 if other_index == index:
                     continue
-                if sig & ~sigs[other_index]:
-                    continue
                 other = self.clauses[other_index]
-                if other is None or len(other) < len(clause):
+                if other is None or sig & ~_signature(other):
+                    continue
+                if len(other) < len(clause):
                     continue
                 if clause <= other:
                     if proof is not None:
@@ -266,12 +274,12 @@ class _FullSweepSimplifier(_preprocess_module._Simplifier):
                     changed = True
             for literal in list(clause):
                 rest = clause - {literal}
-                rest_sig = _preprocess_module._signature(rest)
+                rest_sig = _signature(rest)
                 for other_index in list(self.occurs.get(-literal, ())):
-                    if rest_sig & ~sigs[other_index]:
-                        continue
                     other = self.clauses[other_index]
-                    if other is None or len(other) < len(clause):
+                    if other is None or rest_sig & ~_signature(other):
+                        continue
+                    if len(other) < len(clause):
                         continue
                     if rest <= other:
                         old = sorted(other) if proof is not None else None

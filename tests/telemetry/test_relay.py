@@ -1,101 +1,13 @@
-"""Cross-process relay: worker spans arrive in the parent exactly once.
+"""Cross-process relay: worker telemetry arrives in the parent exactly once.
 
-Two producers ship telemetry back across process boundaries — portfolio
-workers (one ``portfolio.slice`` span per worker per logical round) and
-``ProcessBatchExecutor`` children (a full ``compile`` span tree per job).
-These tests pin the exactly-once and ordering contracts at portfolio
-widths 1, 2 and 4.
+``ProcessBatchExecutor`` children ship a full ``compile`` span tree and
+their metric deltas home with each job; these tests pin the exactly-once
+contract for both.
 """
 
-import itertools
-
-import pytest
-
 from repro.parallel.executor import ProcessBatchExecutor
-from repro.parallel.portfolio import PortfolioSolver
-from repro.sat import CnfFormula
 from repro.store import CompileJob
 from repro.telemetry import Telemetry
-
-
-def _pigeonhole(pigeons: int, holes: int) -> CnfFormula:
-    formula = CnfFormula()
-    slot = {}
-    for p in range(pigeons):
-        for h in range(holes):
-            slot[p, h] = formula.new_variable()
-    for p in range(pigeons):
-        formula.add_clause(slot[p, h] for h in range(holes))
-    for h in range(holes):
-        for p1, p2 in itertools.combinations(range(pigeons), 2):
-            formula.add_clause((-slot[p1, h], -slot[p2, h]))
-    return formula
-
-
-class TestPortfolioRelay:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_slice_spans_arrive_exactly_once_in_round_order(self, workers):
-        # A small per-round budget on a real UNSAT instance forces the
-        # race through several logical rounds.
-        telemetry = Telemetry()
-        formula = _pigeonhole(5, 4)
-        with PortfolioSolver(formula, workers=workers, round_conflicts=20,
-                             telemetry=telemetry) as portfolio:
-            result = portfolio.solve()
-        assert result.is_unsat
-
-        # Solver counters reached the parent registry at every width.
-        assert "repro_solver_conflicts_total" in telemetry.render_metrics()
-
-        # Remapped ids stay unique after the merge (trivially so at
-        # width 1, where no relay is involved).
-        span_ids = [e["span_id"] for e in telemetry.tracer.events()]
-        assert len(span_ids) == len(set(span_ids))
-
-        if workers == 1:
-            # The degenerate width runs the reference solver in-process:
-            # the parent handle IS the solver's handle, so nothing is
-            # relayed and no slice spans exist.
-            assert not [e for e in telemetry.tracer.events()
-                        if e["name"] == "portfolio.slice"]
-            return
-
-        slices = [event for event in telemetry.tracer.events()
-                  if event["name"] == "portfolio.slice"]
-        assert slices, "no slice spans relayed"
-
-        # Exactly once: the parent tags each absorbed batch with its
-        # (round, worker) coordinate, so a duplicate absorption would
-        # collide here.
-        coordinates = [(e["attrs"]["round"], e["attrs"]["worker"])
-                       for e in slices]
-        assert len(coordinates) == len(set(coordinates))
-        assert all(0 <= worker < workers for _, worker in coordinates)
-
-        # Ordered by logical round: rounds are absorbed as they finish,
-        # so arrival order never goes backwards in round number.
-        rounds = [r for r, _ in coordinates]
-        assert rounds == sorted(rounds)
-
-    def test_multiple_rounds_were_exercised(self):
-        telemetry = Telemetry()
-        formula = _pigeonhole(5, 4)
-        with PortfolioSolver(formula, workers=2, round_conflicts=20,
-                             telemetry=telemetry) as portfolio:
-            portfolio.solve()
-        rounds = {event["attrs"]["round"]
-                  for event in telemetry.tracer.events()
-                  if event["name"] == "portfolio.slice"}
-        assert len(rounds) > 1, "budget too large to exercise the relay"
-
-    def test_worker_metrics_merge_into_the_parent(self):
-        telemetry = Telemetry()
-        formula = _pigeonhole(5, 4)
-        with PortfolioSolver(formula, workers=2, round_conflicts=20,
-                             telemetry=telemetry) as portfolio:
-            portfolio.solve()
-        text = telemetry.render_metrics()
-        assert "repro_solver_conflicts_total" in text
 
 
 class TestExecutorRelay:
@@ -125,3 +37,21 @@ class TestExecutorRelay:
         text = telemetry.render_metrics()
         assert "repro_solver_conflicts_total" in text
         assert "repro_preprocess_runs_total" in text
+
+    def test_worker_metrics_merge_into_the_parent(self):
+        telemetry = Telemetry()
+        executor = ProcessBatchExecutor(jobs=2, telemetry=telemetry)
+        jobs = [
+            ("k3", CompileJob(method="independent", num_modes=3, label="c")),
+            ("k4", CompileJob(method="independent", num_modes=4, label="d")),
+        ]
+        outcomes = executor.run(jobs)
+        assert all(o.status == "compiled" for o in outcomes.values())
+        # Exactly once: the parent's counter is the sum of the conflicts
+        # each job's descent reports, neither dropped nor double-merged.
+        conflicts = sum(o.result.descent.total_conflicts
+                        for o in outcomes.values())
+        assert conflicts > 0
+        family = dict(telemetry.metrics.families())[
+            "repro_solver_conflicts_total"]
+        assert int(dict(family.children())[()].value) == conflicts

@@ -412,6 +412,23 @@ class TestBatchCli:
         assert "error" in capsys.readouterr().err
 
 
+class TestRetiredFlags:
+    # The process portfolio is gone: a script still passing its flags
+    # fails at parse time instead of silently solving serially.
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--modes", "2", "--portfolio", "2"],
+        ["solve", "--modes", "2", "--jobs", "2"],
+        ["batch", "-", "--portfolio", "2"],
+        ["serve", "--portfolio", "2"],
+    ], ids=["solve-portfolio", "solve-jobs", "batch-portfolio",
+            "serve-portfolio"])
+    def test_portfolio_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestVersion:
     def test_version_flag_prints_and_exits_zero(self, capsys):
         import pytest as _pytest
