@@ -31,12 +31,19 @@ encoded literal, ``watches[lit]`` is ``[cref0, blocker0, cref1, blocker1,
 ...]`` where the *blocker* is some other literal of the clause (usually the
 other watch) — when the blocker is already true the clause is satisfied and
 the propagation loop skips it without ever touching the arena, which is the
-common case.  Literal truth values live in a flat ``bytearray``
-(:attr:`CdclSolver.assign`, ``0`` free / ``1`` true / ``2`` false) indexed
-by encoded literal.  Clause activities and LBD scores — touched only on
-conflicts — live in side dicts keyed by cref; learned-clause reduction
-tombstones dead crefs and compacts the arena when more than half of it is
-garbage.
+common case.  The loop scans a watch list in one pass: a satisfied blocker
+costs one index step, a kept watcher has its blocker rewritten in place,
+and a watcher that moves to another literal is cut out with
+``del ws[i:i + 2]``, so the list keeps its order without a copy-back.
+Literal truth values live in a flat ``list`` (:attr:`CdclSolver.assign`,
+``0`` free / ``1`` true / ``2`` false) indexed by encoded literal;
+``in_use`` and ``queued`` are lists too, since CPython 3.11 specializes
+list subscripts by an int and not bytearray ones.  Only conflict
+analysis's ``seen`` marks stay a ``bytearray``: they are allocated afresh
+at every conflict, which costs far less than a list of the same length.
+Clause activities and LBD scores — touched only on conflicts — live in
+side dicts keyed by cref; learned-clause reduction tombstones dead crefs
+and compacts the arena when more than half of it is garbage.
 
 Binary clauses — the bulk of a Tseitin-heavy instance — never enter the
 watch machinery at all.  A clause ``(a, b)`` becomes two implication-list
@@ -48,20 +55,24 @@ a binary conflict is materialized into a fixed two-literal scratch slot of
 the arena (``cref == 1``) for conflict analysis to consume.
 
 The VSIDS order heap (:attr:`CdclSolver.order_heap`) is a lazy ``heapq``
-of ``(-activity, variable)`` keys: a bump pushes a fresh key instead of
+of ``(-activity, variable)`` keys: a bump adds a fresh key instead of
 moving the old one, so older keys for the same variable go *stale*.  The
 per-variable flag :attr:`CdclSolver.queued` means "the heap holds an entry
-carrying this variable's current activity".  A bump pushes and sets it,
-popping the current key clears it, and backtracking requeues an unassigned
-in-use variable only when the flag is clear.  Every free in-use variable
-thus always has its current key in the heap, and stale keys carry strictly
-lower activity, so they pop later.  The pick is therefore exactly the
-argmax of ``(activity, -variable)`` over free in-use variables.  Stale
-keys still accumulate with bumps, so once the heap exceeds
-``_HEAP_SLACK * num_vars`` entries it is rebuilt with one entry per in-use
-variable; the VSIDS rescale reuses the same rebuild.  Conflict analysis
-inlines the bump and checks that limit once per conflict, not once per
-bump: stale keys never change a pick, so neither does when they go.
+carrying this variable's current activity".  A bump of a free variable
+pushes its key and sets the flag; a bump of an assigned one only clears
+the flag, because its new key is pushed when :meth:`CdclSolver._backtrack`
+frees it.  Every variable conflict analysis bumps is assigned, so a
+conflict pushes nothing, and a variable bumped at many conflicts before it
+is freed is pushed once.  Popping the current key clears the flag, and
+backtracking requeues a freed in-use variable only when the flag is clear.
+Every free in-use variable thus always has its current key in the heap,
+and stale keys carry strictly lower activity, so they pop later.  The pick
+is therefore exactly the argmax of ``(activity, -variable)`` over free
+in-use variables.  Stale keys still accumulate, so once the heap exceeds
+``_HEAP_SLACK * num_vars`` entries after a backtrack, where it grows, it is
+rebuilt with one entry per in-use variable; the VSIDS rescale reuses the
+same rebuild.  Stale keys never change a pick, so neither does when they
+go.
 
 Literals are DIMACS integers at the API boundary and are encoded internally
 as ``2*v`` (positive) / ``2*v + 1`` (negative) for array indexing.
@@ -102,14 +113,6 @@ class SolverStats:
     decisions: int = 0
     propagations: int = 0
     restarts: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "conflicts": self.conflicts,
-            "decisions": self.decisions,
-            "propagations": self.propagations,
-            "restarts": self.restarts,
-        }
 
 
 @dataclass
@@ -223,7 +226,7 @@ class CdclSolver:
             self._tele_sampled = [0, 0, 0, 0]
         self.num_vars = formula.num_variables
         n = self.num_vars
-        self.assign = bytearray(2 * n + 2)    # per encoded literal: _FREE/_TRUE/_FALSE
+        self.assign = [_FREE] * (2 * n + 2)   # per encoded literal: _FREE/_TRUE/_FALSE
         self.level = [0] * (n + 1)
         self.reason = [0] * (n + 1)           # cref per variable; 0 = no reason
         self.trail: list[int] = []
@@ -238,10 +241,10 @@ class CdclSolver:
         # many eliminated variables in the pool (literal numbering must
         # survive), so branching only over constrained variables keeps the
         # search space at the simplified instance's true size.
-        self.in_use = bytearray(n + 1)
+        self.in_use = [0] * (n + 1)
         self.order_heap: list[tuple[float, int]] = []
         # queued[v]: order_heap holds an entry with v's current activity.
-        self.queued = bytearray(n + 1)
+        self.queued = [0] * (n + 1)
         self._heap_limit = _HEAP_SLACK * n
         # Arena cell 0 is a sentinel ("no reason"); cells 1..3 are the
         # scratch clause binary conflicts are materialized into.
@@ -332,23 +335,28 @@ class CdclSolver:
     # -- setup ------------------------------------------------------------------
 
     def _add_problem_clause(self, dimacs_lits) -> None:
-        seen: dict[int, int] = {}
-        lits: list[int] = []
-        for literal in dimacs_lits:
-            encoded = self._encode(literal)
-            variable = encoded >> 1
-            previous = seen.get(variable)
-            if previous is None:
-                seen[variable] = encoded
-                lits.append(encoded)
-            elif previous != encoded:
-                return  # tautology: v OR NOT v
-        # Drop root-falsified literals eagerly; keep semantics identical.
+        encode = self._encode
+        lits = [encode(literal) for literal in dimacs_lits]
+        if len({encoded >> 1 for encoded in lits}) < len(lits):
+            # A variable repeats: drop duplicates, keeping first occurrences.
+            seen: dict[int, int] = {}
+            unique: list[int] = []
+            for encoded in lits:
+                previous = seen.get(encoded >> 1)
+                if previous is None:
+                    seen[encoded >> 1] = encoded
+                    unique.append(encoded)
+                elif previous != encoded:
+                    return  # tautology: v OR NOT v
+            lits = unique
         assign = self.assign
-        level = self.level
-        lits = [lit for lit in lits if not (assign[lit] == _FALSE and level[lit >> 1] == 0)]
-        if any(assign[lit] == _TRUE and level[lit >> 1] == 0 for lit in lits):
-            return
+        if self.trail:
+            # Drop root-falsified literals eagerly; keep semantics identical.
+            level = self.level
+            lits = [lit for lit in lits
+                    if not (assign[lit] == _FALSE and level[lit >> 1] == 0)]
+            if any(assign[lit] == _TRUE and level[lit >> 1] == 0 for lit in lits):
+                return
         if not lits:
             self.root_conflict = True
             return
@@ -418,18 +426,17 @@ class CdclSolver:
                 level[variable] = current_level
                 reason[variable] = -falsified - 1
                 trail.append(implied)
+            # One pass over the watch list: a satisfied blocker costs one
+            # index step, a kept watcher has its blocker rewritten in place,
+            # and a watcher that moves is cut out where it stands.
             ws = watches[falsified]
-            i = j = 0
+            i = 0
             end = len(ws)
             while i < end:
-                cref = ws[i]
-                blocker = ws[i + 1]
-                if assign[blocker] == _TRUE:
-                    ws[j] = cref
-                    ws[j + 1] = blocker
-                    j += 2
+                if assign[ws[i + 1]] == _TRUE:
                     i += 2
                     continue
+                cref = ws[i]
                 base = cref + 1
                 first = db[base]
                 if first == falsified:
@@ -437,14 +444,11 @@ class CdclSolver:
                     db[base] = first
                     db[base + 1] = falsified
                 if assign[first] == _TRUE:
-                    ws[j] = cref
-                    ws[j + 1] = first
-                    j += 2
+                    ws[i + 1] = first
                     i += 2
                     continue
                 stop = base + (db[cref] >> 1)
                 k = base + 2
-                moved = False
                 while k < stop:
                     other = db[k]
                     if assign[other] != _FALSE:
@@ -453,34 +457,23 @@ class CdclSolver:
                         moved_watch = watches[other]
                         moved_watch.append(cref)
                         moved_watch.append(first)
-                        moved = True
+                        del ws[i:i + 2]
+                        end -= 2
                         break
                     k += 1
-                if moved:
+                else:
+                    ws[i + 1] = first
+                    if assign[first] == _FALSE:
+                        self.qhead = qhead
+                        self.propagation_count += propagations
+                        return cref
                     i += 2
-                    continue
-                ws[j] = cref
-                ws[j + 1] = first
-                j += 2
-                i += 2
-                if assign[first] == _FALSE:
-                    # Conflict: keep the remaining watchers and report.
-                    while i < end:
-                        ws[j] = ws[i]
-                        ws[j + 1] = ws[i + 1]
-                        j += 2
-                        i += 2
-                    del ws[j:]
-                    self.qhead = qhead
-                    self.propagation_count += propagations
-                    return cref
-                variable = first >> 1
-                assign[first] = _TRUE
-                assign[first ^ 1] = _FALSE
-                level[variable] = current_level
-                reason[variable] = cref
-                trail.append(first)
-            del ws[j:]
+                    variable = first >> 1
+                    assign[first] = _TRUE
+                    assign[first ^ 1] = _FALSE
+                    level[variable] = current_level
+                    reason[variable] = cref
+                    trail.append(first)
         self.qhead = qhead
         self.propagation_count += propagations
         return 0
@@ -488,17 +481,21 @@ class CdclSolver:
     # -- branching ------------------------------------------------------------------
 
     def _bump_variable(self, variable: int) -> None:
-        """Bump one variable.  Conflict analysis inlines these steps and
-        checks the heap limit once per conflict instead."""
+        """Bump one variable by the rule conflict analysis inlines: a free
+        variable's new key is pushed now, an assigned one's when
+        :meth:`_backtrack` frees it."""
         activity = self.activity
         activity[variable] += self.var_inc
         if activity[variable] > _ACTIVITY_RESCALE:
             self._rescale_activities()
             return
-        self.queued[variable] = 1
-        heapq.heappush(self.order_heap, (-activity[variable], variable))
-        if len(self.order_heap) > self._heap_limit:
-            self._rebuild_order_heap()
+        if self.assign[variable << 1] == _FREE:
+            self.queued[variable] = 1
+            heapq.heappush(self.order_heap, (-activity[variable], variable))
+            if len(self.order_heap) > self._heap_limit:
+                self._rebuild_order_heap()
+        else:
+            self.queued[variable] = 0
 
     def _rescale_activities(self) -> None:
         activity = self.activity
@@ -551,14 +548,13 @@ class CdclSolver:
         activity = self.activity
         var_inc = self.var_inc
         queued = self.queued
-        heap = self.order_heap
-        heappush = heapq.heappush
+        trail = self.trail
         learnt: list[int] = [0]
         seen = bytearray(self.num_vars + 1)
         current_level = len(self.trail_lim)
         path_count = 0
         resolved_lit = -1
-        index = len(self.trail) - 1
+        index = len(trail) - 1
         cref = conflict
 
         while True:
@@ -576,22 +572,21 @@ class CdclSolver:
                 variable = encoded >> 1
                 if not seen[variable] and level[variable] > 0:
                     seen[variable] = 1
-                    # VSIDS bump (_bump_variable, without its heap check).
+                    # VSIDS bump (_bump_variable's rule): the variable is
+                    # assigned, so _backtrack pushes its key when it frees it.
                     activity[variable] += var_inc
                     if activity[variable] > _ACTIVITY_RESCALE:
                         self._rescale_activities()
                         var_inc = self.var_inc
-                        heap = self.order_heap
                     else:
-                        queued[variable] = 1
-                        heappush(heap, (-activity[variable], variable))
+                        queued[variable] = 0
                     if level[variable] >= current_level:
                         path_count += 1
                     else:
                         learnt.append(encoded)
-            while not seen[self.trail[index] >> 1]:
+            while not seen[trail[index] >> 1]:
                 index -= 1
-            resolved_lit = self.trail[index]
+            resolved_lit = trail[index]
             variable = resolved_lit >> 1
             path_count -= 1
             index -= 1
@@ -599,23 +594,44 @@ class CdclSolver:
                 break
             cref = reason[variable]
 
-        # Stale keys never change a pick (see "Hot-loop layout"), so the
-        # heap may overshoot its limit until the conflict is analyzed.
-        if len(self.order_heap) > self._heap_limit:
-            self._rebuild_order_heap()
         learnt[0] = resolved_lit ^ 1
 
-        # Minimization: drop literals whose reasons lie entirely inside the
-        # clause (MiniSat's recursive litRedundant with abstract levels).
+        # Minimization: drop literals whose implication closure lies inside
+        # the clause (MiniSat's recursive litRedundant with abstract levels).
         abstract_levels = 0
         for encoded in learnt[1:]:
             abstract_levels |= 1 << (level[encoded >> 1] & 31)
         minimized = [learnt[0]]
-        for encoded in learnt[1:]:
-            if reason[encoded >> 1] == 0 or not self._literal_redundant(
-                encoded, seen, abstract_levels
-            ):
-                minimized.append(encoded)
+        for literal in learnt[1:]:
+            if reason[literal >> 1] == 0:
+                minimized.append(literal)
+                continue
+            stack = [literal]
+            newly_marked: list[int] = []
+            while stack:
+                cref = reason[stack.pop() >> 1]
+                if cref < 0:
+                    antecedents = (-cref - 1,)
+                else:
+                    antecedents = db[cref + 2:cref + 1 + (db[cref] >> 1)]
+                for encoded in antecedents:
+                    variable = encoded >> 1
+                    if seen[variable] or level[variable] == 0:
+                        continue
+                    if (
+                        reason[variable] != 0
+                        and (1 << (level[variable] & 31)) & abstract_levels
+                    ):
+                        seen[variable] = 1
+                        newly_marked.append(variable)
+                        stack.append(encoded)
+                    else:
+                        # Not redundant: undo this probe's marks, keep it.
+                        for marked in newly_marked:
+                            seen[marked] = 0
+                        minimized.append(literal)
+                        stack.clear()
+                        break
         learnt = minimized
 
         if len(learnt) == 1:
@@ -627,38 +643,6 @@ class CdclSolver:
                 max_index = k
         learnt[1], learnt[max_index] = learnt[max_index], learnt[1]
         return learnt, level[learnt[1] >> 1]
-
-    def _literal_redundant(self, literal: int, seen: bytearray, abstract_levels: int) -> bool:
-        """True when ``literal``'s implication closure lies inside the learnt
-        clause — it can then be removed without weakening the clause."""
-        db = self.db
-        level = self.level
-        reason = self.reason
-        stack = [literal]
-        newly_marked: list[int] = []
-        while stack:
-            top = stack.pop()
-            cref = reason[top >> 1]
-            if cref < 0:
-                antecedents = (-cref - 1,)
-            else:
-                antecedents = db[cref + 2:cref + 1 + (db[cref] >> 1)]
-            for encoded in antecedents:
-                variable = encoded >> 1
-                if seen[variable] or level[variable] == 0:
-                    continue
-                if (
-                    reason[variable] != 0
-                    and (1 << (level[variable] & 31)) & abstract_levels
-                ):
-                    seen[variable] = 1
-                    newly_marked.append(variable)
-                    stack.append(encoded)
-                else:
-                    for marked in newly_marked:
-                        seen[marked] = 0
-                    return False
-        return True
 
     # repro-lint: hot-path
     def _backtrack(self, target_level: int) -> None:
@@ -685,14 +669,18 @@ class CdclSolver:
         del self.trail[boundary:]
         del self.trail_lim[target_level:]
         self.qhead = len(self.trail)
+        # Stale keys never change a pick (see "Hot-loop layout"), so the
+        # heap is trimmed here, where it grows, not at every push.
+        if len(heap) > self._heap_limit:
+            self._rebuild_order_heap()
 
     def _record_learnt(self, learnt: list[int]) -> None:
         if self.proof is not None:
             # First-UIP clauses (minimized included) are RUP against the
             # clause set at learn time, assumptions never resolved in —
             # the emission order alone makes the trace checkable.
-            decode = self._decode
-            self.proof.add([decode(encoded) for encoded in learnt])
+            self.proof.add([-(encoded >> 1) if encoded & 1 else encoded >> 1
+                            for encoded in learnt])
         if len(learnt) == 1:
             self._enqueue(learnt[0], 0)
             return

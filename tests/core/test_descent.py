@@ -9,10 +9,23 @@ from repro.core import (
     SolverBudget,
     descend,
 )
+from repro.core.pipeline import hardware_config
 from repro.core.verify import verify_encoding
 from repro.encodings import MajoranaEncoding, bravyi_kitaev, jordan_wigner
 from repro.fermion import hubbard_chain
+from repro.hardware import resolve_device
 from repro.paulis import PauliString
+
+#: Per rung ``(bound, status, conflicts, decisions, propagations)`` of the
+#: budget-capped, connectivity-weighted descent: N=6, ``linear-6`` weights,
+#: no algebraic-independence family, 1,000 conflicts per rung.  Its last
+#: rung runs out of budget, so any change to the solver's search moves it.
+_PINNED_WEIGHTED_DESCENT = [
+    (78, "SAT", 1, 149, 1521),
+    (73, "SAT", 0, 103, 1460),
+    (69, "SAT", 4, 132, 2099),
+    (56, "UNKNOWN", 1000, 1990, 148373),
+]
 
 
 class TestHamiltonianIndependent:
@@ -116,6 +129,18 @@ class TestBudgets:
             result = descend(2, config=config)
             assert result.weight == bravyi_kitaev(2).total_majorana_weight
             assert not result.proved_optimal, strategy
+
+
+    def test_weighted_capped_trajectory_is_pinned(self):
+        config = hardware_config(
+            FermihedralConfig(algebraic_independence=False,
+                              budget=SolverBudget(max_conflicts=1000)),
+            resolve_device("linear-6"), 6)
+        assert config.qubit_weights == (3, 2, 1, 1, 2, 3)
+        result = descend(6, config=config)
+        assert [(step.bound, step.status, step.conflicts, step.decisions,
+                 step.propagations) for step in result.steps] == _PINNED_WEIGHTED_DESCENT
+        assert not result.proved_optimal
 
 
 class TestHamiltonianDependent:

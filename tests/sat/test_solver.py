@@ -184,7 +184,7 @@ class TestOrderHeap:
     ``(activity, -variable)`` over free in-use variables."""
 
     _OPS = st.sampled_from(["bump", "decay", "decide", "imply", "backtrack",
-                            "rescale", "pick"])
+                            "conflict", "rescale", "pick"])
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(_OPS, st.integers(1, 6)), max_size=150))
@@ -224,6 +224,14 @@ class TestOrderHeap:
                 solver._enqueue(arg << 1 | 1, 0)
             elif op == "backtrack":
                 solver._backtrack(arg % (len(solver.trail_lim) + 1))
+            elif op == "conflict" and solver.trail_lim:
+                # As conflict analysis does: bump assigned variables above
+                # the root, then backtrack at least one level, which is
+                # where their new keys are pushed.
+                for encoded in solver.trail[solver.trail_lim[0]:]:
+                    if solver.in_use[encoded >> 1]:
+                        solver._bump_variable(encoded >> 1)
+                solver._backtrack(arg % len(solver.trail_lim))
             elif op == "rescale":
                 solver.var_inc = 1e100
                 solver._bump_variable(in_use[arg % len(in_use)])
