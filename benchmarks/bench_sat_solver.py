@@ -243,7 +243,9 @@ def bench_proof_overhead(modes: int, max_conflicts: int) -> dict:
 
     Both arms burn the identical conflict budget on the identical raw
     instance, so the wall ratio isolates what ``--proof`` costs the
-    search itself.  The proof arm also reports how much trace it banked.
+    search itself; the best wall of three runs per arm keeps one noisy
+    run from tripping the 15% gate.  The proof arm also reports how much
+    trace it banked.
     """
     from repro.core.descent import build_base_formula, measured_weight
     from repro.encodings.bravyi_kitaev import bravyi_kitaev
@@ -256,21 +258,25 @@ def bench_proof_overhead(modes: int, max_conflicts: int) -> dict:
     out: dict = {"modes": modes, "bound": bound, "max_conflicts": max_conflicts}
     statuses = {}
     for arm in ("plain", "proof"):
-        log = ProofLog() if arm == "proof" else None
-        started = time.monotonic()
-        encoder, indicators = build_base_formula(modes, config)
-        selectors = encoder.weight_ladder(
-            indicators, measured_weight(baseline) - 1)
-        solver = CdclSolver(
-            encoder.formula,
-            seed_phases=encoder.encoding_assignment(baseline),
-            proof=log,
-        )
-        result = solver.solve(
-            max_conflicts=max_conflicts, assumptions=(selectors[bound],))
-        wall = time.monotonic() - started
+        best_wall = None
+        for _ in range(3):
+            log = ProofLog() if arm == "proof" else None
+            started = time.monotonic()
+            encoder, indicators = build_base_formula(modes, config)
+            selectors = encoder.weight_ladder(
+                indicators, measured_weight(baseline) - 1)
+            solver = CdclSolver(
+                encoder.formula,
+                seed_phases=encoder.encoding_assignment(baseline),
+                proof=log,
+            )
+            result = solver.solve(
+                max_conflicts=max_conflicts, assumptions=(selectors[bound],))
+            wall = time.monotonic() - started
+            if best_wall is None or wall < best_wall:
+                best_wall = wall
         statuses[arm] = result.status
-        out[f"{arm}_wall_s"] = round(wall, 3)
+        out[f"{arm}_wall_s"] = round(best_wall, 3)
         out[f"{arm}_status"] = result.status
         out[f"{arm}_conflicts"] = result.conflicts
         if log is not None:

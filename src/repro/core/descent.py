@@ -15,10 +15,11 @@ encoding is found by iterated bound tightening.  Two strategies:
 Either strategy runs on one engine: it builds the CNF and a shared
 totalizer ladder once and answers each bound with a one-literal
 assumption on a persistent solver, so learned clauses survive between
-rungs.  When every qubit weighs the same in the objective, the CNF also
-orders the qubit columns (:meth:`FermihedralEncoder.add_column_lex`), so
-the solver refutes one labelling of the qubits instead of up to ``N!``,
-and the warm-start encoding is relabelled into that order.
+rungs.  Within each class of qubits of equal objective weight, the CNF
+also orders the qubit columns (:meth:`FermihedralEncoder.add_column_lex`),
+so the solver refutes one labelling of each class instead of every
+permutation of it, and the warm-start encoding is relabelled into that
+order.
 
 Neither ``config.algebraic_independence`` setting emits the power-set
 algebraic-independence family of Section 3.4: ``2N`` pairwise-
@@ -38,7 +39,11 @@ from dataclasses import dataclass, field
 
 from repro.core.checkpoint import CheckpointSink, DescentCheckpoint
 from repro.core.config import FermihedralConfig
-from repro.core.encoder import FermihedralEncoder, column_lex_order
+from repro.core.encoder import (
+    FermihedralEncoder,
+    column_lex_order,
+    weight_classes,
+)
 from repro.encodings.base import MajoranaEncoding
 from repro.encodings.bravyi_kitaev import bravyi_kitaev
 from repro.encodings.serialization import encoding_to_dict, step_to_dict
@@ -252,7 +257,8 @@ def build_base_formula(
     return encoder, indicators
 
 
-#: The descent CNF orders the qubit columns (see :func:`build_instance`).
+#: The descent CNF orders the qubit columns within each weight class (see
+#: :func:`build_instance`).
 SYMMETRY_COLUMN_LEX = "column-lex"
 #: The descent CNF keeps every qubit labelling.
 SYMMETRY_NONE = "none"
@@ -260,10 +266,13 @@ SYMMETRY_NONE = "none"
 
 def symmetry_for(qubit_weights: tuple[int, ...] | None) -> str:
     """The symmetry breaking a descent under ``qubit_weights`` uses:
-    column-lex when every qubit weighs the same, none otherwise."""
-    if qubit_weights is None or len(set(qubit_weights)) <= 1:
-        return SYMMETRY_COLUMN_LEX
-    return SYMMETRY_NONE
+    column-lex within the :func:`~repro.core.encoder.weight_classes`,
+    unless every qubit has a weight of its own and there is nothing to
+    order.  ``None`` and uniform weights are one class of every qubit."""
+    if qubit_weights is not None and \
+            len(set(qubit_weights)) == len(qubit_weights) > 1:
+        return SYMMETRY_NONE
+    return SYMMETRY_COLUMN_LEX
 
 
 def build_instance(
@@ -273,7 +282,8 @@ def build_instance(
     symmetry: str,
 ) -> tuple[FermihedralEncoder, list[int]]:
     """The descent's bound-free CNF: :func:`build_base_formula`, then the
-    column-lex comparators when ``symmetry`` is
+    column-lex comparators within the weight classes of
+    ``config.qubit_weights`` when ``symmetry`` is
     :data:`SYMMETRY_COLUMN_LEX`.
 
     The descent and the proof-claim checker
@@ -284,7 +294,7 @@ def build_instance(
     """
     encoder, indicators = build_base_formula(num_modes, config, hamiltonian)
     if symmetry == SYMMETRY_COLUMN_LEX:
-        encoder.add_column_lex()
+        encoder.add_column_lex(weight_classes(config.qubit_weights, num_modes))
     return encoder, indicators
 
 
@@ -481,7 +491,8 @@ def descend(
         baseline: encoding supplying the starting bound and warm-start
             phases; defaults to Bravyi-Kitaev, as in the paper.  Under
             column-lex symmetry breaking its phases come from its
-            lex-sorted relabelling, which has the same weight.
+            relabelling lex-sorted within each weight class, which has
+            the same weight.
         telemetry: optional :class:`repro.telemetry.Telemetry`; wraps the
             run in a ``descent`` span with one ``descent.rung`` child per
             SAT call (bound + engine + status attrs) and threads through
@@ -545,7 +556,8 @@ def descend(
         if symmetry == SYMMETRY_COLUMN_LEX:
             # An unsorted baseline can violate the comparators, and then
             # its phases steer the first rungs into conflicts.
-            seed = baseline.with_qubit_order(column_lex_order(baseline))
+            seed = baseline.with_qubit_order(column_lex_order(
+                baseline, weight_classes(config.qubit_weights, num_modes)))
         phases = encoder.encoding_assignment(seed)
     claim = None
     if config.proof:

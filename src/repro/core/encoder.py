@@ -23,9 +23,9 @@ The encoder emits, on demand:
 * vacuum-state preservation via X/Y pair witnesses (Section 3.5);
 * Hamiltonian-independent or Hamiltonian-dependent weight bounds through a
   totalizer cardinality ladder (Sections 3.6/3.7);
-* column-lex symmetry breaking: the qubit columns in non-decreasing
-  lexicographic order, valid whenever every qubit weighs the same in the
-  objective (beyond the paper).
+* column-lex symmetry breaking: the qubit columns of each class of
+  equal objective weight in non-decreasing lexicographic order (beyond
+  the paper).
 """
 
 from __future__ import annotations
@@ -268,26 +268,36 @@ class FermihedralEncoder:
             variables.append(self.bit2[string_index][qubit])
         return variables
 
-    def add_column_lex(self) -> None:
-        """Order the qubit columns: ``col(q) <=lex col(q+1)`` for every
-        adjacent pair, so the search sees one labelling of the qubits
-        instead of up to ``N!``.
+    def add_column_lex(self, classes: "list[list[int]] | None" = None) -> None:
+        """Order the qubit columns within each weight class:
+        ``col(a) <=lex col(b)`` for consecutive members ``a < b`` of every
+        class, so the search sees one labelling of each class's qubits
+        instead of up to ``|class|!``.
 
-        Each comparator is :func:`add_lex_leq` over the two columns.
+        ``classes`` partitions the qubits (see :func:`weight_classes`);
+        ``None`` is one class of every qubit, whose comparators order
+        each adjacent pair ``q, q+1``.  Each comparator is
+        :func:`add_lex_leq` over the two columns.
 
-        Sound only when every qubit weighs the same in the objective.
-        Relabelling the qubits of an encoding then preserves pairwise
-        anticommutation, the X/Y vacuum witness (it only needs *some*
-        qubit), flip-mask equality and Y counts of the exact vacuum
-        constraint, and the weight of every Majorana string and of every
-        monomial image.  Sorting a model's columns therefore gives a
-        model of the same weight that satisfies the comparators, so
-        UNSAT at bound ``b`` with them is UNSAT without them: every
-        optimality proof still certifies the unrestricted bound.
+        Sound whenever every class holds qubits of equal weight in the
+        objective.  Permuting the qubits inside a class then preserves
+        pairwise anticommutation, the X/Y vacuum witness (it only needs
+        *some* qubit), flip-mask equality and Y counts of the exact
+        vacuum constraint, the weight of every Majorana string and of
+        every monomial image on every qubit, and so the weighted
+        objective.  Sorting each class's columns of a model therefore
+        gives a model of the same weight that satisfies the comparators,
+        so UNSAT at bound ``b`` with them is UNSAT without them: every
+        optimality proof still certifies the unrestricted bound.  A
+        comparator across two classes is not sound: the sorted model
+        moves columns onto qubits of another weight.
         """
-        for qubit in range(self.num_modes - 1):
-            add_lex_leq(self.formula, self.column_variables(qubit),
-                        self.column_variables(qubit + 1))
+        if classes is None:
+            classes = [list(range(self.num_modes))]
+        for members in classes:
+            for left, right in zip(members, members[1:]):
+                add_lex_leq(self.formula, self.column_variables(left),
+                            self.column_variables(right))
 
     # -- objectives (Sections 3.6 / 3.7) ---------------------------------------------------
 
@@ -415,11 +425,30 @@ class FermihedralEncoder:
         return hints
 
 
-def column_lex_order(encoding: MajoranaEncoding) -> list[int]:
-    """The qubit order that sorts an encoding's columns the way
-    :meth:`FermihedralEncoder.add_column_lex` requires: ``order[j]`` is
-    the qubit that becomes qubit ``j`` (see
-    :meth:`MajoranaEncoding.with_qubit_order`)."""
+def weight_classes(
+    qubit_weights: "tuple[int, ...] | None", num_qubits: int
+) -> list[list[int]]:
+    """The qubits grouped by objective weight: each class lists its
+    qubits in ascending order, and the classes come in the order of
+    their first qubit.  ``None`` (every qubit weighs the same) is one
+    class."""
+    if qubit_weights is None:
+        return [list(range(num_qubits))]
+    classes: dict[int, list[int]] = {}
+    for qubit, weight in enumerate(qubit_weights):
+        classes.setdefault(weight, []).append(qubit)
+    return list(classes.values())
+
+
+def column_lex_order(
+    encoding: MajoranaEncoding, classes: "list[list[int]] | None" = None
+) -> list[int]:
+    """The qubit order that sorts an encoding's columns within each class
+    the way :meth:`FermihedralEncoder.add_column_lex` requires:
+    ``order[j]`` is the qubit that becomes qubit ``j`` (see
+    :meth:`MajoranaEncoding.with_qubit_order`).  Each class's qubits
+    trade columns only among themselves; ``None`` is one class of every
+    qubit."""
 
     def column(qubit: int) -> tuple[int, ...]:
         return tuple(
@@ -428,4 +457,10 @@ def column_lex_order(encoding: MajoranaEncoding) -> list[int]:
             for bit in OPERATOR_BITS[string.operator(qubit)]
         )
 
-    return sorted(range(encoding.num_qubits), key=column)
+    if classes is None:
+        classes = [list(range(encoding.num_qubits))]
+    order = list(range(encoding.num_qubits))
+    for members in classes:
+        for position, qubit in zip(members, sorted(members, key=column)):
+            order[position] = qubit
+    return order

@@ -49,13 +49,8 @@ from repro.core.config import (
     AnnealingSchedule,
     FermihedralConfig,
 )
-from repro.core.descent import (
-    SYMMETRY_COLUMN_LEX,
-    DescentResult,
-    descend,
-    measured_weight,
-    symmetry_for,
-)
+from repro.core.descent import DescentResult, descend, measured_weight
+from repro.core.encoder import weight_classes
 from repro.core.verify import VerificationReport, verify_encoding
 from repro.encodings.base import MajoranaEncoding
 from repro.fermion.hamiltonians import FermionicHamiltonian
@@ -522,8 +517,8 @@ class FermihedralCompiler:
     ) -> CompilationResult:
         """Ground a fresh result in the target device (no-op without one).
 
-        Under a uniform objective the descent winner's qubits are first
-        relabelled for the device
+        The descent winner's qubits are first relabelled for the device
+        within their weight classes
         (:meth:`~repro.hardware.cost.HardwareCostModel.best_qubit_order`),
         which changes neither its weight nor its proof.  It then competes
         with the admissible textbook baselines on routed two-qubit gate
@@ -535,11 +530,12 @@ class FermihedralCompiler:
         if topology is None:
             return result
         model = HardwareCostModel(topology)
-        placed = result.encoding
-        if symmetry_for(config.qubit_weights) == SYMMETRY_COLUMN_LEX:
-            # The descent returned its lex-leader labelling, arbitrary
-            # with respect to the device; choose one for it instead.
-            placed, _ = model.best_qubit_order(result.encoding, hamiltonian)
+        # The descent returned its lex-leader labelling within each
+        # weight class, arbitrary with respect to the device; choose one
+        # for it instead.
+        placed, _ = model.best_qubit_order(
+            result.encoding, hamiltonian,
+            weight_classes(config.qubit_weights, self.num_modes))
         candidates = [placed] + candidate_baselines(
             self.num_modes, config.vacuum_preservation
         )

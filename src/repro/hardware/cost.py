@@ -259,26 +259,36 @@ class HardwareCostModel:
         return self.cost_of_operator(self._operator_for(encoding, hamiltonian))
 
     def best_qubit_order(
-        self, encoding: MajoranaEncoding, hamiltonian=None
+        self,
+        encoding: MajoranaEncoding,
+        hamiltonian=None,
+        classes: "list[list[int]] | None" = None,
     ) -> tuple[MajoranaEncoding, HardwareCost]:
         """Relabel an encoding's qubits for this device: a first-improvement
         pairwise-swap search over qubit orders.
 
-        Starts from the identity order and sweeps every qubit pair,
-        keeping a swap when it lowers :attr:`HardwareCost.sort_key`
-        (ties keep the current order), until a whole sweep improves
-        nothing.  A relabelling changes no weight under a uniform
-        objective, so only the routed cost moves; the result is never
-        worse than the identity order.  Polynomial per sweep, where an
-        exhaustive search would score ``N!`` orders.
+        Starts from the identity order and sweeps every pair of qubits in
+        the same class of ``classes`` (a partition of the qubits; ``None``
+        is one class of every qubit), keeping a swap when it lowers
+        :attr:`HardwareCost.sort_key` (ties keep the current order), until
+        a whole sweep improves nothing.  A swap inside a class of equal
+        objective weight changes no weight, so only the routed cost moves;
+        the result is never worse than the identity order.  Polynomial per
+        sweep, where an exhaustive search would score ``N!`` orders.
         """
         order = list(range(encoding.num_qubits))
+        label = [0] * len(order)
+        for index, members in enumerate(classes or ()):
+            for qubit in members:
+                label[qubit] = index
         best = (encoding, self.cost_of_encoding(encoding, hamiltonian))
         improved = True
         while improved:
             improved = False
             for first in range(len(order)):
                 for second in range(first + 1, len(order)):
+                    if label[first] != label[second]:
+                        continue
                     trial = list(order)
                     trial[first], trial[second] = trial[second], trial[first]
                     candidate = encoding.with_qubit_order(trial)

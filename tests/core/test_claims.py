@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+import repro.core.descent as descent_module
 from repro.cli import main
 from repro.core import FermihedralConfig, SolverBudget, descend
 from repro.core.claims import check_claim, describe_claim, rebuild_claim
@@ -31,6 +32,16 @@ def trace() -> ProofTrace:
     result = descend(3, config=_config())
     assert result.proved_optimal
     return result.proof_trace
+
+
+@pytest.fixture(scope="module")
+def device_trace(tmp_path_factory) -> ProofTrace:
+    """The artifact ``repro solve --device linear-3 --proof`` writes: its
+    claim orders the columns within the weight classes {0, 2} and {1}."""
+    path = tmp_path_factory.mktemp("device") / "l3.json"
+    assert main(["solve", "--modes", "3", "--device", "linear-3", "--proof",
+                 "--proof-out", str(path)]) == 0
+    return ProofTrace.from_dict(json.loads(path.read_text()))
 
 
 def _unbound(trace: ProofTrace) -> ProofTrace:
@@ -103,10 +114,11 @@ class TestTampering:
             trace, claim=dict(trace.claim, symmetry="none"))
         assert "CNF" in check_claim(tampered)
 
-    def test_column_lex_under_non_uniform_weights_is_refused(self, trace):
+    def test_other_class_pattern_is_a_mismatch(self, device_trace):
+        assert device_trace.claim["qubit_weights"] == [2, 1, 2]
         tampered = dataclasses.replace(
-            trace, claim=dict(trace.claim, qubit_weights=[1, 2, 1]))
-        assert "unsound" in check_claim(tampered)
+            device_trace, claim=dict(device_trace.claim, qubit_weights=[2, 2, 1]))
+        assert "CNF" in check_claim(tampered)
 
     @pytest.mark.parametrize("change", [
         {"modes": 0}, {"objective": "depth"}, {"vacuum": "maybe"},
@@ -134,6 +146,31 @@ class TestTampering:
         assert main(["verify-proof", str(path)]) == 1
         assert "verdict:         FAILED (claim mismatch: " \
             in capsys.readouterr().out
+
+
+class TestWeightClasses:
+    """Column-lex within classes of equal qubit weight: new device
+    artifacts verify, and the ``"none"`` artifacts every device-weighted
+    proof carried before still do."""
+
+    def test_device_artifact_verifies(self, device_trace, tmp_path, capsys):
+        assert device_trace.claim["symmetry"] == "column-lex"
+        path = tmp_path / "l3.json"
+        path.write_text(json.dumps(device_trace.to_dict(), sort_keys=True))
+        assert main(["verify-proof", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "claim:           N=3 majorana weight ≥ 16 (qubit weights 2,1,2)" \
+            in out
+        assert "verdict:         OK" in out
+
+    def test_unbroken_claim_still_verifies(self, monkeypatch):
+        monkeypatch.setattr(descent_module, "symmetry_for",
+                            lambda weights: "none")
+        result = descend(3, config=_config(qubit_weights=(2, 1, 2)))
+        assert result.proved_optimal and result.weight == 16
+        assert result.proof_trace.claim["symmetry"] == "none"
+        assert check_claim(result.proof_trace) is None
+        assert check_trace(result.proof_trace).ok
 
 
 class TestCli:

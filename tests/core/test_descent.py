@@ -17,14 +17,25 @@ from repro.hardware import resolve_device
 from repro.paulis import PauliString
 
 #: Per rung ``(bound, status, conflicts, decisions, propagations)`` of the
-#: budget-capped, connectivity-weighted descent: N=6, ``linear-6`` weights,
-#: no algebraic-independence family, 1,000 conflicts per rung.  Its last
-#: rung runs out of budget, so any change to the solver's search moves it.
+#: budget-capped, connectivity-weighted descent: N=6, ``linear-6`` weights
+#: (3,2,1,1,2,3), no algebraic-independence family, 1,000 conflicts per
+#: rung.  Its last rung runs out of budget, so any change to the solver's
+#: search moves it.  Its three weight classes are column-lex ordered, so a
+#: change to those comparators or to the warm start moves it too.
 _PINNED_WEIGHTED_DESCENT = [
-    (78, "SAT", 1, 149, 1521),
-    (73, "SAT", 0, 103, 1460),
-    (69, "SAT", 4, 132, 2099),
-    (56, "UNKNOWN", 1000, 1990, 148373),
+    (78, "SAT", 1, 170, 1585),
+    (73, "SAT", 0, 124, 1526),
+    (69, "SAT", 28, 196, 5151),
+    (63, "SAT", 11, 181, 2152),
+    (55, "UNKNOWN", 1000, 1925, 149346),
+]
+#: The same descent under all-distinct weights (1,2,3,4,5,6): every qubit
+#: is a class of its own, so the CNF carries no comparators and only a
+#: change to the solver's search moves it.
+_PINNED_DISTINCT_DESCENT = [
+    (154, "SAT", 1, 95, 2240),
+    (146, "SAT", 2, 117, 2445),
+    (136, "UNKNOWN", 1000, 1981, 161447),
 ]
 
 
@@ -140,6 +151,15 @@ class TestBudgets:
         result = descend(6, config=config)
         assert [(step.bound, step.status, step.conflicts, step.decisions,
                  step.propagations) for step in result.steps] == _PINNED_WEIGHTED_DESCENT
+        assert not result.proved_optimal
+
+    def test_all_distinct_capped_trajectory_is_pinned(self):
+        config = FermihedralConfig(algebraic_independence=False,
+                                   qubit_weights=(1, 2, 3, 4, 5, 6),
+                                   budget=SolverBudget(max_conflicts=1000))
+        result = descend(6, config=config)
+        assert [(step.bound, step.status, step.conflicts, step.decisions,
+                 step.propagations) for step in result.steps] == _PINNED_DISTINCT_DESCENT
         assert not result.proved_optimal
 
 

@@ -1,8 +1,10 @@
 """Column-lex symmetry breaking, the canonical warm start and placement.
 
-The comparators must never change an optimum, only how fast it is
+The comparators order the qubit columns within each class of equal
+qubit weight.  They must never change an optimum, only how fast it is
 proved; sorted warm starts must satisfy them; and device placement must
-recover a routed cost the lex-leader labelling would lose.
+recover, within the classes, a routed cost the lex-leader labelling
+would lose.
 """
 
 from __future__ import annotations
@@ -15,11 +17,21 @@ import pytest
 import repro.core.descent as descent_module
 from repro.analysis import sample_optimal_encodings
 from repro.core import FermihedralCompiler, FermihedralConfig, SolverBudget, descend
-from repro.core.descent import SYMMETRY_COLUMN_LEX, SYMMETRY_NONE, symmetry_for
-from repro.core.encoder import FermihedralEncoder, add_lex_leq, column_lex_order
+from repro.core.descent import (
+    SYMMETRY_COLUMN_LEX,
+    SYMMETRY_NONE,
+    measured_weight,
+    symmetry_for,
+)
+from repro.core.encoder import (
+    FermihedralEncoder,
+    add_lex_leq,
+    column_lex_order,
+    weight_classes,
+)
 from repro.encodings import bravyi_kitaev, jordan_wigner
 from repro.fermion import tv_chain
-from repro.hardware import HardwareCostModel, resolve_device
+from repro.hardware import HardwareCostModel, connectivity_weights, resolve_device
 from repro.sat.cnf import CnfFormula
 from repro.sat.solver import CdclSolver
 
@@ -30,17 +42,17 @@ def _config(**overrides) -> FermihedralConfig:
     return FermihedralConfig(**settings)
 
 
-def _satisfies_comparators(encoding) -> bool:
+def _satisfies_comparators(encoding, classes=None) -> bool:
     """Whether the encoding's bits satisfy the column-lex clauses."""
     encoder = FermihedralEncoder(encoding.num_modes)
-    encoder.add_column_lex()
+    encoder.add_column_lex(classes)
     for variable, value in encoder.encoding_assignment(encoding).items():
         encoder.formula.add_unit(variable if value else -variable)
     return CdclSolver(encoder.formula).solve().is_sat
 
 
-def _sorted(encoding):
-    return encoding.with_qubit_order(column_lex_order(encoding))
+def _sorted(encoding, classes=None):
+    return encoding.with_qubit_order(column_lex_order(encoding, classes))
 
 
 class TestComparator:
@@ -60,7 +72,26 @@ class TestComparator:
     def test_uniform_weights_break_the_symmetry(self):
         assert symmetry_for(None) == SYMMETRY_COLUMN_LEX
         assert symmetry_for((2, 2, 2)) == SYMMETRY_COLUMN_LEX
-        assert symmetry_for((1, 2, 1)) == SYMMETRY_NONE
+        assert symmetry_for((1, 2, 1)) == SYMMETRY_COLUMN_LEX
+        assert symmetry_for((1, 2, 3)) == SYMMETRY_NONE
+
+    def test_weight_classes(self):
+        assert weight_classes(None, 3) == [[0, 1, 2]]
+        assert weight_classes((2, 2, 2), 3) == [[0, 1, 2]]
+        assert weight_classes((2, 1, 2), 3) == [[0, 2], [1]]
+        assert weight_classes((3, 2, 1, 1, 2, 3), 6) == [[0, 5], [1, 4], [2, 3]]
+
+    def test_comparators_stay_within_classes(self):
+        def comparator_clauses(classes):
+            encoder = FermihedralEncoder(4)
+            before = encoder.formula.num_clauses
+            encoder.add_column_lex(classes)
+            return encoder.formula.num_clauses - before
+
+        one_class = comparator_clauses(None)
+        assert comparator_clauses([[0, 1, 2, 3]]) == one_class
+        assert comparator_clauses([[0, 3], [1, 2]]) == 2 * one_class // 3
+        assert comparator_clauses([[0], [1], [2], [3]]) == 0
 
 
 def _optimum(num_modes, config, hamiltonian=None, symmetry=SYMMETRY_NONE):
@@ -72,14 +103,33 @@ def _optimum(num_modes, config, hamiltonian=None, symmetry=SYMMETRY_NONE):
     return result.weight
 
 
+def _vacuum_config(vacuum, **overrides) -> FermihedralConfig:
+    return _config(vacuum_preservation=vacuum != "none",
+                   exact_vacuum=vacuum == "exact", **overrides)
+
+
+def _same_weighted_optimum(weights, vacuum) -> None:
+    """The proved optimum under ``symmetry_for``'s choice is the optimum
+    with no symmetry breaking at all."""
+    config = _vacuum_config(vacuum, qubit_weights=weights)
+    assert _optimum(len(weights), config, symmetry=symmetry_for(weights)) \
+        == _optimum(len(weights), config)
+
+
 class TestOptimaUnchanged:
     @pytest.mark.parametrize("num_modes", [2, 3])
     @pytest.mark.parametrize("vacuum", ["sufficient", "exact", "none"])
     def test_same_proved_optimum_with_and_without(self, num_modes, vacuum):
-        config = _config(vacuum_preservation=vacuum != "none",
-                         exact_vacuum=vacuum == "exact")
+        config = _vacuum_config(vacuum)
         assert _optimum(num_modes, config, symmetry=SYMMETRY_COLUMN_LEX) \
             == _optimum(num_modes, config)
+
+    @pytest.mark.parametrize("vacuum", ["sufficient", "exact", "none"])
+    @pytest.mark.parametrize("weights", [
+        (1, 2), (1, 1, 2), (2, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3),
+    ], ids=lambda weights: ",".join(map(str, weights)))
+    def test_same_weighted_optimum_with_and_without(self, weights, vacuum):
+        _same_weighted_optimum(weights, vacuum)
 
     def test_same_hamiltonian_optimum_with_and_without(self):
         hamiltonian = tv_chain(2)
@@ -98,7 +148,30 @@ def test_three_mode_hamiltonian_optimum_with_and_without():
         == _optimum(3, _config(), hamiltonian) == 23
 
 
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not os.environ.get("REPRO_SLOW_TESTS"),
+    reason="the unbroken N=4 weighted descents take minutes (REPRO_SLOW_TESTS=1)",
+)
+@pytest.mark.parametrize("vacuum", ["sufficient", "exact"])
+@pytest.mark.parametrize("weights", [(2, 1, 1, 2), (1, 1, 1, 2)],
+                         ids=lambda weights: ",".join(map(str, weights)))
+def test_four_mode_weighted_optimum_with_and_without(weights, vacuum):
+    # Without a vacuum constraint even the class-wise (2,1,1,2) descent
+    # leaves bound 20 open after 200,000 conflicts.
+    _same_weighted_optimum(weights, vacuum)
+
+
 class TestCanonicalWarmStart:
+    def test_class_sort_satisfies_the_class_comparators(self):
+        baseline = bravyi_kitaev(6)
+        classes = weight_classes((3, 2, 1, 1, 2, 3), 6)
+        order = column_lex_order(baseline, classes)
+        assert all(sorted(order[q] for q in members) == members
+                   for members in classes)
+        assert not _satisfies_comparators(baseline, classes)
+        assert _satisfies_comparators(_sorted(baseline, classes), classes)
+
     def test_every_sorted_n2_optimum_satisfies_the_comparators(self):
         optima = sample_optimal_encodings(2, count=8, config=_config())
         assert len(optima) == 4
@@ -138,8 +211,20 @@ class TestPlacement:
         assert placed.total_majorana_weight == encoding.total_majorana_weight
         assert cost == model.cost_of_encoding(placed)
 
-    def test_non_uniform_device_is_untouched(self):
+    def test_placement_keeps_the_weighted_objective(self):
+        topology = resolve_device("linear-6")
+        weights = connectivity_weights(topology, 6)
+        model = HardwareCostModel(topology)
+        encoding = bravyi_kitaev(6)
+        placed, cost = model.best_qubit_order(
+            encoding, classes=weight_classes(weights, 6))
+        assert cost.sort_key < model.cost_of_encoding(encoding).sort_key
+        assert measured_weight(placed, qubit_weights=weights) \
+            == measured_weight(encoding, qubit_weights=weights)
+
+    def test_linear_3_is_placed_within_classes(self):
         result = FermihedralCompiler(3, _config(), device="linear-3").compile()
-        assert result.descent.total_conflicts == 569
+        assert result.descent.total_conflicts == 304
+        assert result.weight == 11
         assert result.hardware.two_qubit_count == 10
         assert result.proved_optimal

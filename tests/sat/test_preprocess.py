@@ -453,14 +453,14 @@ class TestGoldenOutputs:
 
     @pytest.mark.parametrize("modes, device, config, stats, digest", [
         (3, "linear-3", {"proof": True},
-         (1215, 1055, 15, 121, 15, 6, 0, 2),
-         "d4b2c03932408671c8100399376504ce8c1f59f45d23a55c83533d537fbce253"),
+         (1249, 1088, 15, 122, 15, 6, 22, 2),
+         "13406d10c494b283069de0ff44b1949131a308dee83653b46d8d11cbd451bca5"),
         (4, None, {"proof": True},
          (2380, 2087, 28, 305, 28, 0, 90, 2),
          "758edee717e6d9ff7746e02a7f3f5e654a9211c821669a1025f05fc779da12bd"),
         (6, "linear-6", {"algebraic_independence": False},
-         (14954, 13816, 66, 1168, 66, 186, 0, 5),
-         "dde77709b6167241e09836a0a4a3f02ef0dc0d22e17d373c8297b1fd4ed61bfa"),
+         (15164, 14023, 66, 1171, 66, 186, 138, 5),
+         "89fa3a47ee4e821b94a15c6eeda46562f0f8ed963a480c927a6f2d908c7da789"),
     ])
     def test_descent_input_is_pinned(self, modes, device, config, stats, digest):
         formula, frozen = _descent_input(modes, device, **config)
