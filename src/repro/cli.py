@@ -129,11 +129,9 @@ def _config_from_args(args) -> FermihedralConfig:
         algebraic_independence=not args.no_alg,
         vacuum_preservation=not args.no_vacuum,
         exact_vacuum=args.exact_vacuum,
-        strategy=args.strategy,
         budget=SolverBudget(
             max_conflicts=args.max_conflicts, time_budget_s=args.budget_s
         ),
-        jobs=getattr(args, "jobs_n", None) or 1,
         preprocess=not args.no_preprocess,
         proof=getattr(args, "proof", False),
         deadline_s=getattr(args, "deadline", None),
@@ -152,10 +150,6 @@ def _add_solver_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--exact-vacuum", action="store_true",
                         help="use the exact vacuum constraint instead of the "
                              "paper's sufficient condition")
-    parser.add_argument("--strategy", choices=("linear", "bisection"),
-                        default="linear",
-                        help="descent loop: the paper's Algorithm 1 (linear) "
-                             "or binary search (bisection)")
     parser.add_argument("--budget-s", type=float, default=60.0, metavar="SECONDS",
                         help="time budget per SAT call (default: 60)")
     parser.add_argument("--max-conflicts", type=int, default=None, metavar="N",
@@ -1423,7 +1417,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="full-sat",
                        help="method for jobs that do not specify one "
                             "(default: full-sat)")
-    batch.add_argument("--jobs", type=int, default=None, metavar="N", dest="jobs_n",
+    batch.add_argument("--jobs", type=int, default=1, metavar="N", dest="jobs_n",
                        help="worker processes (default: 1 = compile "
                             "serially in this process); identical results "
                             "at any N, only faster")

@@ -2,9 +2,10 @@
 
 A weight descent is a ladder of independent SAT calls, which makes it
 naturally checkpointable: after each completed rung the whole useful
-state is "best encoding so far, the bound being chased next, and the
-stats of the rungs already climbed".  :func:`repro.core.descent.descend`
-serializes exactly that into a :class:`DescentCheckpoint` after every
+state is "best encoding so far and the stats of the rungs already
+climbed".  The bound to chase next is always one below that encoding's
+weight, so it is derived, never stored.  :func:`repro.core.descent.descend`
+serializes that state into a :class:`DescentCheckpoint` after every SAT
 rung and hands it to a :class:`CheckpointSink`; when a worker is killed
 mid-descent, the retry loads the checkpoint and resumes at the last
 completed rung instead of re-proving every bound from the baseline.
@@ -13,7 +14,9 @@ Persistence is **best-effort by contract**: a sink that cannot write
 (disk full, chaos-injected fault) reports failure and the descent keeps
 solving — losing a checkpoint costs retry time, never correctness.
 Loading is equally defensive: any unreadable, version-skewed or
-mismatched checkpoint is treated as absent (a cold start).
+mismatched checkpoint is treated as absent (a cold start), and keys a
+document carries beyond the ones read here (older writers stored the
+loop's strategy, its next bound and a bisection window) are ignored.
 
 The production sink (:class:`CacheCheckpointSink`) stores checkpoints in
 the compilation cache's content-addressed tree under ``checkpoints/``,
@@ -40,36 +43,24 @@ class DescentCheckpoint:
 
     ``encoding`` is the best model so far in the standard encoding-schema
     dict (:func:`repro.encodings.serialization.encoding_to_dict`);
-    ``steps`` are the completed rungs in result-schema step dicts.  For
-    the linear strategy ``next_bound`` is the bound the descent was about
-    to chase; for bisection, ``lower``/``upper`` carry the surviving
-    search window (including UNSAT-proven lower-bound raises, which a
-    cache warm start alone would lose).
+    ``steps`` are the completed rungs in result-schema step dicts.  A
+    resumed descent asks next for one below the encoding's measured
+    weight; ``weight`` records that weight for readers of the document.
     """
 
-    strategy: str
-    next_bound: int
     encoding: dict
     weight: int
     steps: list = field(default_factory=list)
-    lower: int | None = None
-    upper: int | None = None
     solve_time_s: float = 0.0
-    repairs: int = 0
     created_at: float = 0.0
 
     def to_dict(self) -> dict:
         return {
             "checkpoint_format_version": _CHECKPOINT_FORMAT_VERSION,
-            "strategy": self.strategy,
-            "next_bound": self.next_bound,
             "encoding": self.encoding,
             "weight": self.weight,
             "steps": list(self.steps),
-            "lower": self.lower,
-            "upper": self.upper,
             "solve_time_s": self.solve_time_s,
-            "repairs": self.repairs,
             "created_at": self.created_at,
         }
 
@@ -79,15 +70,10 @@ class DescentCheckpoint:
         if version != _CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint version: {version!r}")
         return cls(
-            strategy=data["strategy"],
-            next_bound=data["next_bound"],
             encoding=data["encoding"],
             weight=data["weight"],
             steps=list(data.get("steps", [])),
-            lower=data.get("lower"),
-            upper=data.get("upper"),
             solve_time_s=data.get("solve_time_s", 0.0),
-            repairs=data.get("repairs", 0),
             created_at=data.get("created_at", 0.0),
         )
 

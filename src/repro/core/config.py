@@ -21,22 +21,19 @@ METHOD_ANNEALING = "sat+annealing"
 COMPILE_METHODS = (METHOD_INDEPENDENT, METHOD_FULL_SAT, METHOD_ANNEALING)
 
 #: :class:`FermihedralConfig` fields that choose an *execution strategy*
-#: rather than a problem.  ``jobs`` only picks which worker process
-#: compiles a job; every job still runs one deterministic descent.
-#: ``preprocess`` simplifies the CNF satisfiability-preservingly per
-#: bound (models are reconstructed onto the original variables), so
-#: given enough budget per SAT call it changes only which of several
-#: equally-optimal models a run returns (and how fast), never the
-#: achieved weight or the optimality proof.  ``proof`` is pure
-#: observation: it records what the solver did without changing a single
-#: decision.  ``deadline_s`` is execution-only for the same reason a time
-#: budget would be: it decides when a run stops tightening, never what
-#: the optimum is, and a deadline-degraded result is unproved.
-#: ``repro.store.fingerprint`` excludes them from cache keys so serial,
-#: multi-process, raw and preprocessed runs of one job all share a cache
-#: entry (sound because unproved results are warm-start seeds, never
-#: final hits).
-EXECUTION_ONLY_FIELDS = ("jobs", "preprocess", "proof", "deadline_s")
+#: rather than a problem.  ``preprocess`` simplifies the CNF
+#: satisfiability-preservingly per bound (models are reconstructed onto
+#: the original variables), so given enough budget per SAT call it
+#: changes only which of several equally-optimal models a run returns
+#: (and how fast), never the achieved weight or the optimality proof.
+#: ``proof`` is pure observation: it records what the solver did without
+#: changing a single decision.  ``deadline_s`` is execution-only for the
+#: same reason a time budget would be: it decides when a run stops
+#: tightening, never what the optimum is, and a deadline-degraded result
+#: is unproved.  ``repro.store.fingerprint`` excludes them from cache keys
+#: so raw and preprocessed runs of one job share a cache entry (sound
+#: because unproved results are warm-start seeds, never final hits).
+EXECUTION_ONLY_FIELDS = ("preprocess", "proof", "deadline_s")
 
 
 @dataclass(frozen=True)
@@ -80,15 +77,7 @@ class FermihedralConfig:
             larger instances, but decoded solutions always truly satisfy
             ``a_j|0..0> = 0``.  Only meaningful when ``vacuum_preservation``
             is on.
-        start_weight: initial weight bound for Algorithm 1; ``None`` seeds
-            from the Bravyi-Kitaev baseline, as the paper does.
-        warm_start: seed each SAT call's phase hints with the previous model.
         budget: per-SAT-call resource limits.
-        max_repairs: unused.  It capped the retired w/o-Alg repair loop;
-            kept, with its default, because it is part of every cache key.
-        strategy: descent loop flavour — ``"linear"`` (the paper's
-            Algorithm 1) or ``"bisection"`` (binary search between a
-            structural lower bound and the best model; an ablation).
         qubit_weights: connectivity-weighted objective — per-qubit positive
             integer multipliers applied to every weight indicator, so the
             descent minimizes ``Σ w[q] · [operator at q ≠ I]`` instead of
@@ -96,8 +85,6 @@ class FermihedralConfig:
             :func:`repro.hardware.cost.connectivity_weights`; ``None``
             keeps the paper's uniform objective.  Length must equal the
             mode count of the job using this config.
-        jobs: default worker-process count for batch executors consuming
-            this config (:mod:`repro.parallel.executor`); ``1`` is serial.
         preprocess: simplify the CNF (:mod:`repro.sat.preprocess` — unit
             propagation, subsumption, bounded variable elimination) before
             building the descent solver.
@@ -121,42 +108,36 @@ class FermihedralConfig:
             never an error — with the bound it was still chasing recorded
             as ``target_bound``.
 
-        ``jobs``, ``preprocess``, ``proof`` and ``deadline_s`` are
+        ``preprocess``, ``proof`` and ``deadline_s`` are
         execution-strategy knobs (:data:`EXECUTION_ONLY_FIELDS`): with
         enough budget they change only how fast the run reaches the same
         weight and proof, or what is recorded about it, so they are
         excluded from cache fingerprints.
+
+    The descent itself has no knobs: it always runs Algorithm 1 from the
+    baseline's weight with phases seeded from the best model so far.
+    Cache keys still carry the fields that once chose otherwise, at the
+    only values they can now have
+    (:data:`repro.store.fingerprint.RETIRED_CONFIG_FIELDS`).
     """
 
     algebraic_independence: bool = True
     vacuum_preservation: bool = True
     exact_vacuum: bool = False
-    start_weight: int | None = None
-    warm_start: bool = True
     budget: SolverBudget = field(default_factory=SolverBudget)
-    max_repairs: int = 32
-    strategy: str = "linear"
     qubit_weights: tuple[int, ...] | None = None
-    jobs: int = 1
     preprocess: bool = True
     proof: bool = False
     deadline_s: float | None = None
 
     def __post_init__(self):
-        if self.strategy not in ("linear", "bisection"):
-            raise ValueError(f"unknown descent strategy: {self.strategy!r}")
         if self.deadline_s is not None and not self.deadline_s > 0:
             raise ValueError("deadline_s must be positive (or None)")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1 process")
         if self.qubit_weights is not None:
             weights = tuple(int(weight) for weight in self.qubit_weights)
             if not weights or any(weight < 1 for weight in weights):
                 raise ValueError("qubit_weights must be positive integers")
             object.__setattr__(self, "qubit_weights", weights)
-
-    def without_algebraic_independence(self) -> "FermihedralConfig":
-        return dataclasses.replace(self, algebraic_independence=False)
 
     def with_qubit_weights(self, weights) -> "FermihedralConfig":
         """This config with a connectivity-weighted objective installed."""
@@ -166,7 +147,6 @@ class FermihedralConfig:
 
     def with_parallelism(
         self,
-        jobs: int | None = None,
         preprocess: bool | None = None,
         proof: bool | None = None,
     ) -> "FermihedralConfig":
@@ -174,7 +154,6 @@ class FermihedralConfig:
         keeps the current value)."""
         return dataclasses.replace(
             self,
-            jobs=self.jobs if jobs is None else jobs,
             preprocess=self.preprocess if preprocess is None else preprocess,
             proof=self.proof if proof is None else proof,
         )

@@ -1,25 +1,18 @@
-"""Weight-descent optimization loops (the paper's Algorithm 1 and a
-bisection variant).
+"""Weight descent: the paper's Algorithm 1.
 
 A SAT solver only answers decision questions, so the minimal-weight
-encoding is found by iterated bound tightening.  Two strategies:
+encoding is found by iterated bound tightening: ask for a model strictly
+lighter than the best one so far, re-measure it, and repeat until the
+answer is UNSAT (the optimum is proved) or the budget or deadline runs
+out (the best model so far is returned unproved).
 
-* **linear** (the paper's Algorithm 1): ask for strictly better than the
-  best model so far, re-measure, repeat until UNSAT (optimum proved) or
-  budget exhaustion (best-so-far returned).
-* **bisection** (ablation, see DESIGN.md): binary-search between a
-  structural lower bound (every string / encoded monomial weighs at least
-  one) and the best model found.  Fewer SAT calls when the baseline starts
-  far above the optimum; each call may be harder.
-
-Either strategy runs on one engine: it builds the CNF and a shared
-totalizer ladder once and answers each bound with a one-literal
-assumption on a persistent solver, so learned clauses survive between
-rungs.  Within each class of qubits of equal objective weight, the CNF
-also orders the qubit columns (:meth:`FermihedralEncoder.add_column_lex`),
-so the solver refutes one labelling of each class instead of every
-permutation of it, and the warm-start encoding is relabelled into that
-order.
+The loop builds the CNF and a shared totalizer ladder once and answers
+each bound with a one-literal assumption on a persistent solver, so
+learned clauses survive between rungs.  Within each class of qubits of
+equal objective weight, the CNF also orders the qubit columns
+(:meth:`FermihedralEncoder.add_column_lex`), so the solver refutes one
+labelling of each class instead of every permutation of it, and the
+warm-start encoding is relabelled into that order.
 
 Neither ``config.algebraic_independence`` setting emits the power-set
 algebraic-independence family of Section 3.4: ``2N`` pairwise-
@@ -51,9 +44,6 @@ from repro.fermion.hamiltonians import FermionicHamiltonian
 from repro.paulis.symplectic import dependent_subset
 from repro.sat.solver import CdclSolver, SolverStats
 from repro.telemetry.progress import RungEtaEstimator
-
-LINEAR = "linear"
-BISECTION = "bisection"
 
 #: Sentinel for ``solve_at(time_budget_s=...)``: "use the config budget".
 #: (``None`` is taken — it means unlimited.)
@@ -102,9 +92,6 @@ class DescentStep:
     achieved_weight: int | None
     elapsed_s: float
     stats: SolverStats = field(default_factory=SolverStats)
-    #: Always 0: dependent models cannot occur (see
-    #: :func:`build_base_formula`).  Kept in the serialized form.
-    repairs: int = 0
 
     @property
     def conflicts(self) -> int:
@@ -133,9 +120,9 @@ class DescentResult:
     steps: list[DescentStep] = field(default_factory=list)
     construct_time_s: float = 0.0
     solve_time_s: float = 0.0
-    #: Always 0, like :attr:`DescentStep.repairs`.
+    #: Always 0: dependent models cannot occur (see
+    #: :func:`build_base_formula`).  Kept in the serialized form.
     repairs: int = 0
-    strategy: str = LINEAR
     #: One-time CNF simplification cost (0.0 when preprocessing is off).
     preprocess_time_s: float = 0.0
     #: DRAT certificate of the final UNSAT rung (``config.proof`` on and
@@ -201,21 +188,6 @@ def measured_weight(
         image, _ = encoding.monomial_image(monomial)
         total += sum(qubit_weights[qubit] for qubit in image.support)
     return total
-
-
-def _structural_lower_bound(
-    num_modes: int,
-    hamiltonian: FermionicHamiltonian | None,
-    qubit_weights: tuple[int, ...] | None = None,
-) -> int:
-    """A weight no valid encoding can beat: every Majorana string (or
-    every encoded Hamiltonian monomial) is non-identity, so weighs at
-    least 1 — or at least the cheapest qubit's multiplier when the
-    objective is connectivity-weighted."""
-    unit = 1 if qubit_weights is None else min(qubit_weights)
-    if hamiltonian is None:
-        return 2 * num_modes * unit
-    return max(len(hamiltonian.monomials), 1) * unit
 
 
 def build_base_formula(
@@ -441,10 +413,8 @@ class _IncrementalBoundSolver:
             if result.is_unsat and self._proof_log is not None:
                 from repro.sat.drat import build_trace
 
-                # Overwritten on every UNSAT rung: the descent's
-                # optimality proof is always the *last* UNSAT answer
-                # (linear stops there; bisection's final raise of the
-                # lower bound is its last UNSAT too).
+                # The descent stops at its first UNSAT rung, so this
+                # trace is its optimality proof.
                 self.last_unsat_trace = build_trace(
                     self._base_formula,
                     self._proof_log,
@@ -462,10 +432,9 @@ class _IncrementalBoundSolver:
             # before anything downstream reads it.
             model = self._reconstruct(model)
         candidate = _checked_decode(self.encoder, model, bound)
-        if self.config.warm_start:
-            self._solver.set_phases({
-                v: model[v] for v in self.encoder.all_string_variables()
-            })
+        self._solver.set_phases({
+            v: model[v] for v in self.encoder.all_string_variables()
+        })
         achieved = measured_weight(
             candidate, self.hamiltonian, self.config.qubit_weights
         )
@@ -480,12 +449,15 @@ def descend(
     telemetry=None,
     checkpoint: "CheckpointSink | None" = None,
 ) -> DescentResult:
-    """Run the configured descent strategy.
+    """Run Algorithm 1: tighten the bound to one below the best weight so
+    far until the answer is UNSAT or the budget or deadline ends.
+
+    Every rung asks for ``best_weight - 1``, so ``proved_optimal`` is
+    exactly "the last rung was UNSAT".
 
     Args:
         num_modes: number of fermionic modes ``N``.
-        config: constraint/budget configuration (defaults to Full SAT,
-            linear descent).
+        config: constraint/budget configuration (defaults to Full SAT).
         hamiltonian: when given, optimize the Hamiltonian-dependent weight
             (Section 3.7); otherwise the Hamiltonian-independent objective.
         baseline: encoding supplying the starting bound and warm-start
@@ -501,8 +473,8 @@ def descend(
             When given, rung progress is persisted after every completed
             rung (best-effort — a failed save never stops the descent) and
             a checkpoint left by an earlier killed attempt is loaded
-            first, so the run resumes at the last completed rung instead
-            of the baseline.
+            first, so the run resumes from its best encoding instead of
+            the baseline.
 
     With ``config.deadline_s`` set, the whole run — construction,
     preprocessing and every rung — races one wall-clock deadline; on
@@ -530,8 +502,6 @@ def descend(
     prior_solve_time = 0.0
     if checkpoint is not None:
         resumed_cp = checkpoint.load()
-        if resumed_cp is not None and resumed_cp.strategy != config.strategy:
-            resumed_cp = None  # different ladder shape: cold-start
         if resumed_cp is not None:
             restored = resumed_cp.decode_encoding(num_modes)
             if restored is None:
@@ -550,15 +520,13 @@ def descend(
                                          symmetry)
     construct_time = time.monotonic() - construct_start
 
-    phases = None
-    if config.warm_start:
-        seed = baseline
-        if symmetry == SYMMETRY_COLUMN_LEX:
-            # An unsorted baseline can violate the comparators, and then
-            # its phases steer the first rungs into conflicts.
-            seed = baseline.with_qubit_order(column_lex_order(
-                baseline, weight_classes(config.qubit_weights, num_modes)))
-        phases = encoder.encoding_assignment(seed)
+    seed = baseline
+    if symmetry == SYMMETRY_COLUMN_LEX:
+        # An unsorted baseline can violate the comparators, and then its
+        # phases steer the first rungs into conflicts.
+        seed = baseline.with_qubit_order(column_lex_order(
+            baseline, weight_classes(config.qubit_weights, num_modes)))
+    phases = encoder.encoding_assignment(seed)
     claim = None
     if config.proof:
         from repro.core.claims import proof_claim
@@ -579,12 +547,12 @@ def descend(
     progress = getattr(telemetry, "progress", None)
     eta = RungEtaEstimator()
     if progress is not None:
-        progress.emit("descent", modes=num_modes, strategy=config.strategy,
-                      engine=_ENGINE, start_weight=best_weight)
+        progress.emit("descent", modes=num_modes, engine=_ENGINE,
+                      start_weight=best_weight)
         if resumed_cp is not None:
             progress.emit("descent.resume", weight=best_weight,
                           completed_rungs=len(prior_steps),
-                          next_bound=resumed_cp.next_bound)
+                          next_bound=best_weight - 1)
     if resumed_cp is not None and telemetry is not None:
         telemetry.counter(
             "repro_descent_resumes_total",
@@ -601,18 +569,13 @@ def descend(
             return 0.0, True
         return (remaining if budget_s is None else min(budget_s, remaining)), False
 
-    def save_checkpoint(next_bound: int, lower: int | None = None,
-                        upper: int | None = None) -> None:
+    def save_checkpoint() -> None:
         if checkpoint is None:
             return
         checkpoint.save(DescentCheckpoint(
-            strategy=config.strategy,
-            next_bound=next_bound,
             encoding=encoding_to_dict(best_encoding),
             weight=best_weight,
             steps=[step_to_dict(step) for step in steps],
-            lower=lower,
-            upper=upper,
             solve_time_s=prior_solve_time + bound_solver.solve_time_s,
             created_at=time.time(),
         ))
@@ -643,94 +606,29 @@ def descend(
                               elapsed_s=round(step.elapsed_s, 3))
             return step, candidate
 
-    descent_span = _span(telemetry, "descent", modes=num_modes,
-                         strategy=config.strategy, engine=_ENGINE)
-    with descent_span as descent_attrs:
-        if config.strategy == BISECTION:
-            lower = _structural_lower_bound(
-                num_modes, hamiltonian, config.qubit_weights
-            )
-            upper = best_weight  # best known achievable
-            if config.start_weight is not None:
-                upper = min(upper, max(config.start_weight, lower))
-            if resumed_cp is not None:
-                # Restore the surviving search window: SAT rungs shrank
-                # ``upper`` (the restored baseline already reflects
-                # that), UNSAT rungs raised ``lower`` — progress a
-                # cache warm start alone would lose.
-                if resumed_cp.lower is not None:
-                    lower = max(lower, resumed_cp.lower)
-                if resumed_cp.upper is not None:
-                    upper = min(upper, resumed_cp.upper)
-            if lower < upper:
-                # Bounds move both ways inside [lower, upper); the ladder
-                # only needs to cover the loosest one.
-                with _span(telemetry, "descent.prepare"):
-                    bound_solver.prepare(upper - 1)
-            while lower < upper:
-                budget_s, expired = rung_budget()
-                bound = (lower + upper - 1) // 2
-                if expired:
-                    deadline_hit, target_bound = True, bound
-                    break
-                step, candidate = solve_rung(bound, budget_s)
-                steps.append(step)
-                if candidate is not None:
-                    best_encoding = candidate
-                    best_weight = step.achieved_weight
-                    upper = step.achieved_weight
-                elif step.status == "UNSAT":
-                    lower = bound + 1
-                else:
-                    # Budget exhausted: cannot conclude.  Under a
-                    # deadline this is degradation, not exhaustion.
-                    if deadline is not None and time.monotonic() >= deadline:
-                        deadline_hit, target_bound = True, bound
-                    break
-                save_checkpoint(upper - 1, lower=lower, upper=upper)
-            # Optimality needs the interval closed AND the returned
-            # encoding sitting exactly on it: a start_weight clamped
-            # below the true optimum can close [lower, upper] without
-            # ever probing the range up to the baseline's weight — that
-            # is exhaustion, not a proof.
-            proved_optimal = (
-                lower == upper
-                and best_weight == upper
-                and (not steps or steps[-1].status in ("SAT", "UNSAT"))
-            )
-        else:
-            next_bound = best_weight - 1
-            if config.start_weight is not None:
-                next_bound = min(next_bound, config.start_weight)
-            if resumed_cp is not None:
-                next_bound = min(next_bound, resumed_cp.next_bound)
-            if next_bound >= 0:
-                with _span(telemetry, "descent.prepare"):
-                    bound_solver.prepare(next_bound)  # bounds only tighten
-            while next_bound >= 0:
-                budget_s, expired = rung_budget()
-                if expired:
-                    deadline_hit, target_bound = True, next_bound
-                    break
-                step, candidate = solve_rung(next_bound, budget_s)
-                steps.append(step)
-                if candidate is not None:
-                    best_encoding = candidate
-                    best_weight = step.achieved_weight
-                    next_bound = step.achieved_weight - 1
-                    save_checkpoint(next_bound)
-                    continue
-                # UNSAT is a proof only when the failed bound sits
-                # directly below the returned weight; an UNSAT at a
-                # start_weight far under the baseline leaves the gap
-                # (bound, best_weight) unexplored.
-                proved_optimal = (
-                    step.status == "UNSAT" and next_bound == best_weight - 1
-                )
-                if not proved_optimal and deadline is not None \
-                        and time.monotonic() >= deadline:
-                    deadline_hit, target_bound = True, next_bound
+    with _span(telemetry, "descent", modes=num_modes,
+               engine=_ENGINE) as descent_attrs:
+        if best_weight > 0:
+            with _span(telemetry, "descent.prepare"):
+                bound_solver.prepare(best_weight - 1)  # bounds only tighten
+        while best_weight > 0:
+            bound = best_weight - 1
+            budget_s, expired = rung_budget()
+            if expired:
+                deadline_hit, target_bound = True, bound
                 break
+            step, candidate = solve_rung(bound, budget_s)
+            steps.append(step)
+            if candidate is not None:
+                best_encoding = candidate
+                best_weight = step.achieved_weight
+                save_checkpoint()
+                continue
+            proved_optimal = step.status == "UNSAT"
+            if not proved_optimal and deadline is not None \
+                    and time.monotonic() >= deadline:
+                deadline_hit, target_bound = True, bound
+            break
         descent_attrs.update(weight=best_weight, proved_optimal=proved_optimal,
                              sat_calls=len(steps), degraded=deadline_hit)
 
@@ -746,8 +644,8 @@ def descend(
     elif proved_optimal and checkpoint is not None:
         # The optimum is proved (and will be cached as final): rung
         # progress has nothing left to resume.  Unproved returns keep
-        # their checkpoint so a resubmission picks up the surviving
-        # search state (bisection's raised lower bound in particular).
+        # their checkpoint so a resubmission resumes from its best
+        # encoding and completed rungs.
         checkpoint.clear()
 
     return DescentResult(
@@ -757,7 +655,6 @@ def descend(
         steps=steps,
         construct_time_s=construct_time,
         solve_time_s=prior_solve_time + bound_solver.solve_time_s,
-        strategy=config.strategy,
         preprocess_time_s=bound_solver.preprocess_time_s,
         proof_trace=bound_solver.last_unsat_trace,
         degraded=deadline_hit,

@@ -83,7 +83,6 @@ def step_to_dict(step) -> dict:
         "achieved_weight": step.achieved_weight,
         "elapsed_s": step.elapsed_s,
         "conflicts": step.conflicts,
-        "repairs": step.repairs,
         "decisions": step.decisions,
         "propagations": step.propagations,
         "restarts": step.restarts,
@@ -106,7 +105,6 @@ def step_from_dict(step: dict):
             propagations=step.get("propagations", 0),
             restarts=step.get("restarts", 0),
         ),
-        repairs=step.get("repairs", 0),
     )
 
 
@@ -129,7 +127,6 @@ def result_to_dict(result: CompilationResult) -> dict:
             "solve_time_s": descent.solve_time_s,
             "preprocess_time_s": descent.preprocess_time_s,
             "repairs": descent.repairs,
-            "strategy": descent.strategy,
             "degraded": descent.degraded,
             "target_bound": descent.target_bound,
             "resumed": descent.resumed,
@@ -193,7 +190,6 @@ def result_from_dict(data: dict, validate: bool = True) -> CompilationResult:
         solve_time_s=descent_data.get("solve_time_s", 0.0),
         preprocess_time_s=descent_data.get("preprocess_time_s", 0.0),
         repairs=descent_data.get("repairs", 0),
-        strategy=descent_data.get("strategy", "linear"),
         # resilience fields postdate schema v1 entries; default like any run
         # that finished cleanly.
         degraded=descent_data.get("degraded", False),

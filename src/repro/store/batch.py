@@ -81,7 +81,6 @@ CONFIG_SPEC_KEYS = (
     "algebraic_independence",
     "vacuum_preservation",
     "exact_vacuum",
-    "strategy",
     "budget_s",
     "max_conflicts",
     "proof",
@@ -133,7 +132,6 @@ def config_from_spec(
             data.get("vacuum_preservation", base.vacuum_preservation)
         ),
         exact_vacuum=bool(data.get("exact_vacuum", base.exact_vacuum)),
-        strategy=data.get("strategy", base.strategy),
         budget=budget,
         proof=bool(data.get("proof", base.proof)),
         deadline_s=data.get("deadline_s", base.deadline_s),
@@ -551,9 +549,8 @@ class BatchCompiler:
         default_config: config applied to jobs that carry none.
         jobs: worker-*process* count.  ``jobs > 1`` routes the unique jobs
             through :class:`repro.parallel.executor.ProcessBatchExecutor`;
-            ``1`` compiles them serially in this process
-            (:func:`run_in_process`); ``None`` falls back to
-            ``default_config.jobs``.  Results are identical either way —
+            ``1`` (the default) compiles them serially in this process
+            (:func:`run_in_process`).  Results are identical either way —
             same weights, same optimality proofs — the engines only
             change how fast they arrive.
         on_event: :mod:`repro.parallel.events` callback for live progress.
@@ -568,13 +565,13 @@ class BatchCompiler:
         self,
         cache: CompilationCache | None = None,
         default_config: FermihedralConfig | None = None,
-        jobs: int | None = None,
+        jobs: int = 1,
         on_event=None,
         telemetry=None,
     ):
         self.cache = cache
         self.default_config = default_config or FermihedralConfig()
-        self.jobs = self.default_config.jobs if jobs is None else jobs
+        self.jobs = jobs
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1 process")
         self.on_event = on_event

@@ -48,6 +48,17 @@ from repro.hardware.topology import DeviceTopology
 #: v2 added the ``device`` entry (hardware-aware compilation).
 FINGERPRINT_VERSION = 2
 
+#: Config fields the descent no longer has, at the one value each can now
+#: take: the linear loop, the baseline's starting bound, seeded phases and
+#: the retired repair cap.  Every v2 key was built with them, so
+#: :func:`canonical_config` writes them back and keys stay unchanged.
+RETIRED_CONFIG_FIELDS = {
+    "strategy": "linear",
+    "start_weight": None,
+    "warm_start": True,
+    "max_repairs": 32,
+}
+
 
 def canonical_config(config: FermihedralConfig) -> dict:
     """Plain-data form of a config, stable across sessions.
@@ -55,16 +66,17 @@ def canonical_config(config: FermihedralConfig) -> dict:
     Derived field-by-field from the dataclass so a future config field
     changes the fingerprint automatically (fails closed) instead of
     silently colliding with pre-existing keys.  Execution-strategy fields
-    (:data:`repro.core.config.EXECUTION_ONLY_FIELDS` — jobs, preprocess,
-    proof, deadline_s) are excluded: they decide *how* a job is solved,
-    not *what* it computes.  Any of several equally-optimal encodings may
+    (:data:`repro.core.config.EXECUTION_ONLY_FIELDS` — preprocess, proof,
+    deadline_s) are excluded: they decide *how* a job is solved, not
+    *what* it computes.  Any of several equally-optimal encodings may
     come back, but the achieved weight and optimality proof are
-    invariant, which is the identity the cache promises — and serial /
-    multi-process runs of one job must share an entry.
+    invariant, which is the identity the cache promises.  The
+    :data:`RETIRED_CONFIG_FIELDS` are added back at their fixed values.
     """
     data = dataclasses.asdict(config)
     for name in EXECUTION_ONLY_FIELDS:
         data.pop(name, None)
+    data.update(RETIRED_CONFIG_FIELDS)
     return data
 
 

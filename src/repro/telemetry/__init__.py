@@ -82,9 +82,6 @@ class Telemetry:
     def span(self, name: str, **attrs):
         return self.tracer.span(name, **attrs)
 
-    def context(self, **attrs):
-        return self.tracer.context(**attrs)
-
     # -- metrics -----------------------------------------------------------
 
     def counter(self, name: str, help: str = "") -> MetricFamily:

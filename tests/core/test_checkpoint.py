@@ -1,7 +1,5 @@
 """Descent checkpoints: the document, the sinks, and crash-resume invariance."""
 
-import dataclasses
-
 import pytest
 
 from repro import chaos
@@ -29,15 +27,10 @@ def _no_ambient_chaos():
 def make_checkpoint(num_modes: int = 2, **overrides) -> DescentCheckpoint:
     encoding = bravyi_kitaev(num_modes)
     fields = dict(
-        strategy="linear",
-        next_bound=encoding.total_majorana_weight - 1,
         encoding=encoding_to_dict(encoding),
         weight=encoding.total_majorana_weight,
         steps=[],
-        lower=None,
-        upper=None,
         solve_time_s=0.25,
-        repairs=1,
         created_at=1_700_000_000.0,
     )
     fields.update(overrides)
@@ -49,7 +42,7 @@ def make_checkpoint(num_modes: int = 2, **overrides) -> DescentCheckpoint:
 
 class TestDescentCheckpoint:
     def test_round_trip(self):
-        checkpoint = make_checkpoint(lower=3, upper=7)
+        checkpoint = make_checkpoint(steps=[{"bound": 6, "status": "SAT"}])
         clone = DescentCheckpoint.from_dict(checkpoint.to_dict())
         assert clone == checkpoint
 
@@ -85,12 +78,12 @@ class TestSinks:
 
     def test_memory_sink_history_and_clear(self):
         sink = MemoryCheckpointSink()
-        first = make_checkpoint(next_bound=7)
-        second = make_checkpoint(next_bound=5)
+        first = make_checkpoint(weight=7)
+        second = make_checkpoint(weight=5)
         assert sink.save(first) is True
         assert sink.save(second) is True
         assert sink.load() == second
-        assert [cp.next_bound for cp in sink.history] == [7, 5]
+        assert [cp.weight for cp in sink.history] == [7, 5]
         sink.clear()
         assert sink.load() is None
         assert sink.cleared == 1
@@ -101,7 +94,7 @@ class TestSinks:
         cache = CompilationCache(tmp_path)
         sink = CacheCheckpointSink(cache, "deadbeef")
         assert sink.load() is None
-        checkpoint = make_checkpoint(lower=2, upper=6)
+        checkpoint = make_checkpoint(solve_time_s=1.5)
         assert sink.save(checkpoint) is True
         assert cache.checkpoint_path("deadbeef").exists()
         assert sink.load() == checkpoint
@@ -170,14 +163,6 @@ class TestDescentCheckpointing:
         assert sink.cleared == 0
         assert sink.load() is not None
 
-    def test_strategy_mismatch_cold_starts(self):
-        sink = MemoryCheckpointSink(make_checkpoint(strategy="bisection"))
-        result = descend(
-            2, FermihedralConfig(budget=FAST_BUDGET), checkpoint=sink
-        )
-        assert not result.resumed
-        assert result.proved_optimal and result.weight == 6
-
     def test_corrupt_encoding_cold_starts(self):
         sink = MemoryCheckpointSink(
             make_checkpoint(encoding={"strings": "garbage"})
@@ -234,26 +219,6 @@ class TestCrashResumeInvariance:
             # A resumed run that proves the optimum clears its checkpoint.
             assert sink.cleared == 1 and sink.load() is None
 
-    def test_bisection_resume_restores_the_window(self):
-        config = dataclasses.replace(
-            FermihedralConfig(budget=FAST_BUDGET), strategy="bisection"
-        )
-        recorder = MemoryCheckpointSink()
-        full = descend(2, config, checkpoint=recorder)
-        assert full.proved_optimal
-        assert len(recorder.history) >= 1
-        # Bisection checkpoints carry the surviving search window.
-        assert all(cp.lower is not None and cp.upper is not None
-                   for cp in recorder.history)
-
-        for checkpoint in recorder.history:
-            sink = MemoryCheckpointSink(checkpoint)
-            resumed = descend(2, config, checkpoint=sink)
-            assert resumed.resumed
-            assert resumed.weight == full.weight
-            assert resumed.proved_optimal
-            assert verify_encoding(resumed.encoding).valid
-
     def test_resume_after_final_sat_rung_still_proves(self):
         # The tightest crash window: the worker died between the last SAT
         # rung and the closing UNSAT proof.  The resumed run only needs
@@ -282,3 +247,55 @@ class TestCrashResumeInvariance:
         sink = MemoryCheckpointSink(recorder.history[0])
         descend(2, config, telemetry=telemetry, checkpoint=sink)
         assert "repro_descent_resumes_total" in telemetry.render_metrics()
+
+
+# -- documents written before the next bound was derived ----------------------
+
+
+def legacy_document(num_modes: int, next_bound: int) -> dict:
+    """A checkpoint as older writers stored it: with the loop's strategy,
+    the bound it was about to chase and a repair count."""
+    encoding = bravyi_kitaev(num_modes)
+    return {
+        "checkpoint_format_version": 1,
+        "strategy": "linear",
+        "next_bound": next_bound,
+        "encoding": encoding_to_dict(encoding),
+        "weight": encoding.total_majorana_weight,
+        "steps": [],
+        "lower": None,
+        "upper": None,
+        "solve_time_s": 0.0,
+        "repairs": 0,
+        "created_at": 1_700_000_000.0,
+    }
+
+
+class TestLegacyCheckpoints:
+    @pytest.mark.parametrize("num_modes,optimum", [(2, 6), (3, 11)])
+    def test_next_bound_below_the_encoding_does_not_block_the_proof(
+            self, num_modes, optimum):
+        # The stored next bound (3) lies far under the optimum.  The
+        # resumed descent asks one below the encoding's weight instead,
+        # so the run proves the optimum rather than refuting 3 and
+        # returning the baseline unproved on every retry.
+        sink = MemoryCheckpointSink(
+            DescentCheckpoint.from_dict(legacy_document(num_modes, 3)))
+        result = descend(num_modes, FermihedralConfig(budget=FAST_BUDGET),
+                         checkpoint=sink)
+        assert result.resumed
+        assert result.proved_optimal and result.weight == optimum
+        assert result.steps[0].bound == \
+            bravyi_kitaev(num_modes).total_majorana_weight - 1
+        assert sink.cleared == 1
+
+    def test_legacy_document_resumes(self, tmp_path):
+        cache = CompilationCache(tmp_path)
+        cache.put_checkpoint("job-key", legacy_document(2, 6))
+        sink = CacheCheckpointSink(cache, "job-key")
+        assert sink.load() is not None
+        result = descend(2, FermihedralConfig(budget=FAST_BUDGET),
+                         checkpoint=sink)
+        assert result.resumed
+        assert result.proved_optimal and result.weight == 6
+        assert verify_encoding(result.encoding).valid

@@ -50,17 +50,6 @@ class TestDeadlineDescent:
         descend(2, config, telemetry=telemetry)
         assert "repro_descent_degraded_total" in telemetry.render_metrics()
 
-    def test_bisection_honors_the_deadline_too(self):
-        import dataclasses
-
-        config = dataclasses.replace(
-            FermihedralConfig(budget=FAST_BUDGET).with_deadline(1e-6),
-            strategy="bisection",
-        )
-        result = descend(3, config)
-        assert result.degraded
-        assert verify_encoding(result.encoding).valid
-
     def test_deadline_does_not_change_the_answer_fingerprint_carries(self):
         # Execution-only semantics: with and without a (generous) deadline
         # the descent reaches the same proved optimum.

@@ -2,8 +2,8 @@
 
 The tentpole property: a ``proof=True`` run whose descent proves
 optimality yields a :class:`repro.sat.drat.ProofTrace` that the
-independent checker accepts — with and without preprocessing, linear
-and bisection — and the compiler/cache layers carry the artifact
+independent checker accepts — with and without preprocessing — and
+the compiler/cache layers carry the artifact
 without perturbing fingerprints.
 """
 
@@ -45,12 +45,6 @@ class TestDescentEngines:
         assert result.proof_trace.meta["engine"] == "incremental"
         # The certified bound is the last refuted rung: optimum - 1.
         assert result.proof_trace.meta["bound"] == result.weight - 1
-
-    def test_bisection_strategy_traces(self):
-        result = descend(2, config=_proof_config(strategy="bisection"))
-        assert result.proved_optimal
-        assert result.proof_trace is not None
-        assert check_trace(result.proof_trace).ok
 
     def test_proof_off_captures_nothing(self):
         result = descend(2, config=_proof_config(proof=False))

@@ -116,6 +116,16 @@ class TestEndpoints:
         assert excinfo.value.code == 400
         assert "max_conflicts" in json.loads(excinfo.value.read())["error"]
 
+    def test_retired_strategy_key_is_400(self, serve, fast_config):
+        client = serve(CompilationService(
+            default_config=fast_config, runner=_stub_runner
+        ))
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({"modes": 2, "method": "independent",
+                           "config": {"strategy": "linear"}})
+        assert excinfo.value.status == 400
+        assert "strategy" in str(excinfo.value)
+
     def test_submit_poll_shutdown_cycle(self, serve, fast_config, tmp_path):
         """The acceptance-criteria cycle, over a real socket, with real
         compiles fanned across worker processes."""

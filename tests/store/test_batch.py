@@ -47,6 +47,12 @@ class TestCompileJob:
         with pytest.raises(ValueError):
             job_from_spec(spec)
 
+    def test_retired_strategy_key_rejected(self):
+        spec = {"modes": 2, "method": METHOD_INDEPENDENT,
+                "config": {"strategy": "linear"}}
+        with pytest.raises(ValueError, match="strategy"):
+            job_from_spec(spec, strict=True)
+
     def test_modes_and_display(self):
         job = CompileJob(method=METHOD_FULL_SAT, hamiltonian=hubbard_chain(2))
         assert job.modes == 4

@@ -82,7 +82,6 @@ class TestSensitivity:
         variants = [
             FermihedralConfig(algebraic_independence=False),
             FermihedralConfig(vacuum_preservation=False),
-            FermihedralConfig(strategy="bisection"),
             FermihedralConfig(budget=SolverBudget(time_budget_s=1.0)),
         ]
         base_key = compilation_key(3, base)

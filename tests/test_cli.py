@@ -428,6 +428,13 @@ class TestRetiredFlags:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_strategy_flag_exits_2(self, capsys):
+        # The descent has one loop; choosing it is no longer an option.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", "--modes", "2", "--strategy", "linear"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestVersion:
     def test_version_flag_prints_and_exits_zero(self, capsys):
