@@ -60,6 +60,7 @@ from _harness import int_env, report
 from repro.core.config import FermihedralConfig, SolverBudget
 from repro.core.descent import descend
 from repro.sat import CnfFormula, solve_formula
+from repro.sat.preprocess import clear_memo
 
 #: Noise tolerance of the preprocessed-vs-raw gate: machine jitter must
 #: not fail CI, a real regression must.
@@ -118,6 +119,9 @@ def _run_descent(modes: int, preprocess: bool, *,
         preprocess=preprocess,
         budget=SolverBudget(max_conflicts=max_conflicts),
     )
+    # A preprocessed arm pays for its own simplification: no earlier
+    # bench in this process may have left the answer in the memo.
+    clear_memo()
     started = time.monotonic()
     result = descend(modes, config)
     wall = time.monotonic() - started
@@ -205,6 +209,7 @@ def bench_ladder_rung(modes: int, max_conflicts: int) -> dict:
     out: dict = {"modes": modes, "bound": bound, "max_conflicts": max_conflicts}
     statuses = {}
     for arm in ("preprocessed", "raw"):
+        clear_memo()  # the descent-ladder bench simplified this CNF too
         started = time.monotonic()
         encoder, indicators = build_base_formula(modes, config)
         selectors = encoder.weight_ladder(

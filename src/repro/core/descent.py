@@ -123,7 +123,9 @@ class DescentResult:
     #: Always 0: dependent models cannot occur (see
     #: :func:`build_base_formula`).  Kept in the serialized form.
     repairs: int = 0
-    #: One-time CNF simplification cost (0.0 when preprocessing is off).
+    #: One-time CNF simplification cost (0.0 when preprocessing is off,
+    #: near 0 when this process simplified the same CNF recently and the
+    #: :func:`repro.sat.preprocess.preprocess` memo answered).
     preprocess_time_s: float = 0.0
     #: DRAT certificate of the final UNSAT rung (``config.proof`` on and
     #: the descent reached an UNSAT answer); check it with
@@ -310,7 +312,8 @@ class _IncrementalBoundSolver:
     preprocess` — encoding variables and ladder selectors frozen, so
     assumptions and warm-start phases keep their meaning — and every SAT
     model is lifted back onto the original variables before decoding.
-    Preprocessing happens once per descent, ahead of solver construction.
+    Preprocessing happens once per descent, ahead of solver construction,
+    and at most once per process for a given CNF (the preprocess memo).
     """
 
     def __init__(

@@ -53,11 +53,32 @@ value, eliminated variables take whatever value satisfies their saved
 clauses — yielding a model of the *original* formula.  Decoding
 (:meth:`repro.core.encoder.FermihedralEncoder.decode`) therefore runs on
 reconstructed models and never observes the simplification.
+
+**Once per process.**  The instance depends only on the mode count, the
+objective, the vacuum constraint and the qubit weights, so a long-lived
+process keeps handing the same CNF in again: one Hamiltonian after
+another on a device, one budget after another in a service.
+:func:`preprocess` keeps its last :data:`MEMO_CAPACITY` answers in a
+least-recently-used memo under one module lock.  The key is the exact
+input, compared element by element and never by digest alone: the
+variable count, every clause in order, the frozen set, ``max_rounds`` and
+``bve_occurrence_limit``.  An entry holds the output compacted into flat
+int arrays (simplified clauses, reconstruction records, DRAT lines), and
+a hit rebuilds a fresh :class:`PreprocessResult` from them that equals
+the one a cold run returns.  A caller passing a ``proof`` log gets the
+DRAT lines the entry was built with; an entry built without a log never
+serves such a caller, and the cold run that replaces it records them.
+:func:`clear_memo` empties the memo.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import threading
+from array import array
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 from repro.sat.cnf import CnfFormula
@@ -69,6 +90,11 @@ DEFAULT_BVE_OCCURRENCE_LIMIT = 20
 
 #: The occurrence set of a literal no clause holds.
 _NONE: frozenset[int] = frozenset()
+
+#: Entries of the :func:`preprocess` memo.  A process that alternates
+#: between a few instances (one per device, plus a small warm-up job)
+#: keeps all of them; each entry holds a few hundred kB at N=6.
+MEMO_CAPACITY = 4
 
 
 @dataclass
@@ -677,14 +703,17 @@ def preprocess(
             set, the run is wrapped in a ``preprocess`` span and the
             per-technique removal counts (fixed / eliminated /
             substituted variables, subsumed / strengthened clauses) are
-            mirrored into labelled counters after the fixpoint loop.
+            mirrored into labelled counters after the fixpoint loop.  A
+            memo hit emits the same span, with ``reused=True``, and the
+            same counts.
 
     Returns a :class:`PreprocessResult`; ``result.formula`` preserves the
     variable pool, ``result.reconstruct`` lifts models back to the
     original formula, and ``result.unsat`` short-circuits refuted inputs.
+    An input seen recently in this process is answered from the memo
+    (see the module docstring) with a result equal to a cold run's.
     """
     frozen_set = frozenset(abs(int(literal)) for literal in frozen)
-    simplifier = _Simplifier(formula, frozen_set, proof=proof)
     if telemetry is None:
         from contextlib import nullcontext
 
@@ -694,22 +723,18 @@ def preprocess(
                               variables=formula.num_variables,
                               clauses=formula.num_clauses)
     with span as attrs:
-        for _ in range(max_rounds):
-            simplifier.stats.rounds += 1
-            if not simplifier.propagate_units():
-                break
-            changed = simplifier.substitute_equivalences()
-            if simplifier.stats.unsat or not simplifier.propagate_units():
-                break
-            changed |= simplifier.subsumption_round()
-            if not simplifier.propagate_units():
-                break
-            changed |= simplifier.eliminate_variables(bve_occurrence_limit)
-            if not simplifier.propagate_units():
-                break
-            if not changed and not simplifier.unit_queue:
-                break
-        result = simplifier.build_result()
+        key = _memo_key(formula, frozen_set, max_rounds,
+                        bve_occurrence_limit)
+        entry = _lookup(key, needs_proof=proof is not None)
+        if entry is not None:
+            result = entry.result(frozen_set, proof)
+            attrs["reused"] = True
+        else:
+            start = len(proof) if proof is not None else 0
+            result = _simplify(formula, frozen_set, max_rounds,
+                               bve_occurrence_limit, proof)
+            _store(key, _MemoEntry(
+                result, None if proof is None else proof.lines[start:]))
         if telemetry is not None:
             stats = result.stats
             attrs.update(rounds=stats.rounds,
@@ -730,3 +755,160 @@ def preprocess(
                 "repro_preprocess_runs_total", "preprocessor invocations"
             ).inc()
     return result
+
+
+def _simplify(formula, frozen_set, max_rounds, bve_occurrence_limit,
+              proof) -> PreprocessResult:
+    """One cold run: the fixpoint loop over every technique."""
+    simplifier = _Simplifier(formula, frozen_set, proof=proof)
+    for _ in range(max_rounds):
+        simplifier.stats.rounds += 1
+        if not simplifier.propagate_units():
+            break
+        changed = simplifier.substitute_equivalences()
+        if simplifier.stats.unsat or not simplifier.propagate_units():
+            break
+        changed |= simplifier.subsumption_round()
+        if not simplifier.propagate_units():
+            break
+        changed |= simplifier.eliminate_variables(bve_occurrence_limit)
+        if not simplifier.propagate_units():
+            break
+        if not changed and not simplifier.unit_queue:
+            break
+    return simplifier.build_result()
+
+
+# -- the once-per-process memo ------------------------------------------------
+
+
+def _flatten(clauses) -> tuple[array, array]:
+    """``(lengths, literals)`` of a clause sequence as two int arrays."""
+    return array("i", map(len, clauses)), array("i", chain.from_iterable(clauses))
+
+
+def _memo_key(formula: CnfFormula, frozen: frozenset[int], max_rounds: int,
+              bve_occurrence_limit: int) -> tuple:
+    """The exact input of one :func:`preprocess` call, flattened.  Keys
+    compare element by element, arrays included."""
+    return (formula.num_variables, max_rounds, bve_occurrence_limit, frozen,
+            *_flatten(list(formula.clauses())))
+
+
+#: Record kinds in :attr:`_MemoEntry.records`.
+_FIXED, _EQUIV, _ELIM = 0, 1, 2
+
+
+class _MemoEntry:
+    """One preprocessing output, compacted into flat int arrays.
+
+    ``records`` holds ``kind, variable, payload`` triples: the value of a
+    fixed variable, the replacement of a substituted one, or for an
+    eliminated one the clause count followed by ``length, *literals``
+    per saved clause.  ``proof`` holds ``2·length + is_deletion,
+    *literals`` per DRAT line, or is None for an entry built without a
+    log.
+    """
+
+    __slots__ = ("num_variables", "lengths", "literals", "records", "stats",
+                 "proof")
+
+    def __init__(self, result: PreprocessResult, proof_lines):
+        self.num_variables = result.formula.num_variables
+        self.lengths, self.literals = _flatten(list(result.formula.clauses()))
+        self.stats = dataclasses.replace(result.stats)
+        records = array("i")
+        for kind, variable, payload in result._records:
+            if kind == "elim":
+                records.extend((_ELIM, variable, len(payload)))
+                for clause in payload:
+                    records.append(len(clause))
+                    records.extend(clause)
+            else:
+                records.extend((_FIXED if kind == "fixed" else _EQUIV,
+                                variable, payload))
+        self.records = records
+        self.proof = None
+        if proof_lines is not None:
+            self.proof = array("i")
+            for tag, literals in proof_lines:
+                self.proof.append(2 * len(literals) + (tag == "d"))
+                self.proof.extend(literals)
+
+    def result(self, frozen: frozenset[int], proof) -> PreprocessResult:
+        """A fresh result equal to the cold run's; replays the DRAT lines
+        into ``proof`` when given."""
+        # Reading an array element makes a new int object, ~32 bytes for
+        # every literal past 256.  Decoded literals go through ``ints``
+        # instead, where ``ints[literal] == literal`` for every literal
+        # of the pool, so each value is one shared object.
+        n = self.num_variables
+        ints = [*range(n + 1), *range(-n, 0)]
+        shared = ints.__getitem__
+        formula = CnfFormula()
+        formula.new_variables(n)
+        stream = map(shared, self.literals)
+        formula.add_clauses(tuple(islice(stream, length))
+                            for length in self.lengths)
+        records: list[tuple] = []
+        stream = iter(self.records)
+        for kind in stream:
+            variable = ints[next(stream)]
+            if kind == _ELIM:
+                payload = [tuple(map(shared, islice(stream, next(stream))))
+                           for _ in range(next(stream))]
+                records.append(("elim", variable, payload))
+            elif kind == _FIXED:
+                records.append(("fixed", variable, bool(next(stream))))
+            else:
+                records.append(("equiv", variable, ints[next(stream)]))
+        if proof is not None:
+            stream = iter(self.proof)
+            for header in stream:
+                literals = tuple(map(shared, islice(stream, header >> 1)))
+                if header & 1:
+                    proof.delete(literals)
+                else:
+                    proof.add(literals)
+        return PreprocessResult(formula, records,
+                                dataclasses.replace(self.stats), frozen)
+
+
+_memo_lock = threading.Lock()
+#: ``(key, entry)`` pairs, least recently used first.
+_memo: list[tuple[tuple, _MemoEntry]] = []
+
+
+def _lookup(key: tuple, needs_proof: bool) -> _MemoEntry | None:
+    with _memo_lock:
+        for position, (stored, entry) in enumerate(_memo):
+            if stored == key:
+                if needs_proof and entry.proof is None:
+                    return None
+                _memo.append(_memo.pop(position))
+                return entry
+    return None
+
+
+def _store(key: tuple, entry: _MemoEntry) -> None:
+    with _memo_lock:
+        # Another thread may have stored the same input meanwhile, or an
+        # entry without DRAT lines is being replaced by one with them.
+        _memo[:] = [pair for pair in _memo if pair[0] != key]
+        _memo.append((key, entry))
+        del _memo[:-MEMO_CAPACITY]
+
+
+def clear_memo() -> None:
+    """Forget every remembered :func:`preprocess` answer."""
+    with _memo_lock:
+        _memo.clear()
+
+
+def _reset_lock_in_child() -> None:
+    # A fork can copy the lock while another thread holds it.
+    global _memo_lock
+    _memo_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_lock_in_child)

@@ -13,9 +13,7 @@ Each span becomes one plain-dict event when it *closes*::
 
 ``ts`` is the wall-clock start (comparable across processes), ``start_s``
 the monotonic start (precise within one process), ``duration_s`` the
-monotonic elapsed time.  Parent links follow the per-thread span stack;
-:meth:`Tracer.context` pushes implicit attributes (e.g. a job id) onto
-every span a thread opens while the context is active.
+monotonic elapsed time.  Parent links follow the per-thread span stack.
 
 Cross-process relay: a worker drains its events (:meth:`Tracer.drain`)
 and ships them with its result; the parent :meth:`Tracer.ingest`\\ s
@@ -56,12 +54,6 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
-    def _contexts(self) -> list:
-        contexts = getattr(self._local, "contexts", None)
-        if contexts is None:
-            contexts = self._local.contexts = []
-        return contexts
-
     # -- spans -------------------------------------------------------------
 
     @contextmanager
@@ -70,10 +62,6 @@ class Tracer:
         span_id = next(self._ids)
         stack = self._stack()
         parent_id = stack[-1] if stack else None
-        merged: dict = {}
-        for context in self._contexts():
-            merged.update(context)
-        merged.update(attrs)
         wall = time.time()
         start = time.monotonic()
         stack.append(span_id)
@@ -84,10 +72,10 @@ class Tracer:
                 "parent_id": parent_id,
                 "ts": wall,
                 "start_s": start,
-                "attrs": merged,
+                "attrs": attrs,
             }
         try:
-            yield merged
+            yield attrs
         finally:
             stack.pop()
             with self._lock:
@@ -99,18 +87,8 @@ class Tracer:
                 "ts": wall,
                 "start_s": start,
                 "duration_s": time.monotonic() - start,
-                "attrs": merged,
+                "attrs": attrs,
             })
-
-    @contextmanager
-    def context(self, **attrs):
-        """Attach implicit attrs to every span this thread opens inside."""
-        contexts = self._contexts()
-        contexts.append(dict(attrs))
-        try:
-            yield
-        finally:
-            contexts.pop()
 
     def _record(self, event: dict) -> None:
         with self._lock:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro import chaos
 from repro.core import FermihedralConfig, SolverBudget
 from repro.paulis import PauliString
+from repro.sat.preprocess import clear_memo
 
 def pytest_configure(config):
     config.addinivalue_line(
@@ -35,6 +36,14 @@ def pauli_string_pairs(draw, min_qubits: int = 1, max_qubits: int = 6):
     length = draw(st.integers(min_qubits, max_qubits))
     labels = st.text(alphabet="IXYZ", min_size=length, max_size=length)
     return PauliString.from_label(draw(labels)), PauliString.from_label(draw(labels))
+
+
+@pytest.fixture(autouse=True)
+def cold_preprocess_memo():
+    """Every test starts with an empty preprocess memo, so a test that
+    patches or counts preprocessing (or forks workers that inherit the
+    memo) sees the same cold runs whatever ran before it."""
+    clear_memo()
 
 
 @pytest.fixture(scope="session")

@@ -9,12 +9,14 @@ from repro.core import (
     SolverBudget,
     descend,
 )
+from repro.core.claims import verify_proof
 from repro.core.pipeline import hardware_config
 from repro.core.verify import verify_encoding
 from repro.encodings import MajoranaEncoding, bravyi_kitaev, jordan_wigner
 from repro.fermion import hubbard_chain
 from repro.hardware import resolve_device
 from repro.paulis import PauliString
+from repro.telemetry import Telemetry
 
 #: Per rung ``(bound, status, conflicts, decisions, propagations)`` of the
 #: budget-capped, connectivity-weighted descent: N=6, ``linear-6`` weights
@@ -185,6 +187,32 @@ class TestPreprocessing:
         result = descend(2, config)
         assert result.proved_optimal
         assert verify_encoding(result.encoding).valid
+
+    def test_reused_simplification_repeats_the_descent(self):
+        """A second N=4 proof descent in one process takes its simplified
+        CNF from the preprocess memo and repeats the first one exactly:
+        every rung's search, the encoding and the proof."""
+        runs = []
+        for _ in range(2):
+            telemetry = Telemetry()
+            result = descend(4, FermihedralConfig(proof=True),
+                             telemetry=telemetry)
+            spans = [event["attrs"] for event in telemetry.tracer.events()
+                     if event["name"] == "preprocess"]
+            runs.append((result, spans))
+        (first, first_spans), (second, second_spans) = runs
+        assert [(s.bound, s.status, s.conflicts, s.decisions, s.propagations)
+                for s in second.steps] == [
+            (s.bound, s.status, s.conflicts, s.decisions, s.propagations)
+            for s in first.steps]
+        assert second.weight == first.weight == 16
+        assert second.encoding.strings == first.encoding.strings
+        assert second.proof_trace.sha256() == first.proof_trace.sha256()
+        for result in (first, second):
+            assert verify_proof(result.proof_trace)[1].ok
+        assert len(first_spans) == len(second_spans) == 1
+        assert "reused" not in first_spans[0]
+        assert second_spans[0]["reused"] is True
 
     def test_preprocess_with_qubit_weights(self):
         config = FermihedralConfig(

@@ -26,6 +26,8 @@ from repro.sat import (
     evaluate_formula,
     preprocess,
 )
+from repro.sat.preprocess import MEMO_CAPACITY, clear_memo
+from repro.telemetry import Telemetry
 
 
 def _random_formula(seed: int, num_vars: int, num_clauses: int) -> CnfFormula:
@@ -351,15 +353,21 @@ class _FullSweepSimplifier(_preprocess_module._Simplifier):
         return changed
 
 
-def _outcome(formula, frozen=(), simplifier=None, **options):
-    """Everything a preprocessing run emits: simplified clauses in order,
-    reconstruction records, stats and DRAT lines."""
+def _emitted(formula, frozen=(), **options):
+    """Everything a preprocessing call emits: simplified clauses in order,
+    reconstruction records, stats and DRAT lines; plus the result."""
     log = ProofLog()
+    result = preprocess(formula, frozen=frozen, proof=log, **options)
+    return (list(result.formula.clauses()), result._records,
+            dataclasses.asdict(result.stats), log.lines), result
+
+
+def _outcome(formula, frozen=(), simplifier=None, **options):
+    """What a cold preprocessing run emits (see :func:`_emitted`)."""
+    clear_memo()
     with mock.patch.object(_preprocess_module, "_Simplifier",
                            simplifier or _preprocess_module._Simplifier):
-        result = preprocess(formula, frozen=frozen, proof=log, **options)
-    return (list(result.formula.clauses()), result._records,
-            dataclasses.asdict(result.stats), log.lines)
+        return _emitted(formula, frozen, **options)[0]
 
 
 def _overlapping_formula(seed: int) -> tuple[CnfFormula, set[int], int]:
@@ -472,3 +480,178 @@ class TestGoldenOutputs:
                 summary["strengthened_clauses"], summary["rounds"]) == stats
         payload = json.dumps(outcome, separators=(",", ":"))
         assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+# -- the once-per-process memo -------------------------------------------------
+
+
+def _variant(formula, frozen, rng):
+    """A near copy of ``(formula, frozen)`` with as many clauses: one
+    literal flipped, the clause order reversed, or one more variable
+    frozen."""
+    clauses = [list(clause) for clause in formula.clauses()]
+    frozen = set(frozen)
+    change = rng.randrange(3)
+    if change == 0:
+        clause = rng.choice(clauses)
+        position = rng.randrange(len(clause))
+        clause[position] = -clause[position]
+    elif change == 1:
+        clauses.reverse()
+    else:
+        frozen.add(rng.randint(1, formula.num_variables))
+    other = CnfFormula()
+    other.new_variables(formula.num_variables)
+    other.add_clauses(clauses)
+    return other, frozen
+
+
+def _cold_runs():
+    """A counting wrapper around the simplifier a miss runs."""
+    return mock.patch.object(_preprocess_module, "_simplify",
+                             wraps=_preprocess_module._simplify)
+
+
+class TestMemo:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 2**32))
+    def test_memo_answers_like_a_cold_run(self, seed, variant_seed):
+        formula, frozen, limit = _overlapping_formula(seed)
+        rng = random.Random(variant_seed)
+        other, other_frozen = _variant(formula, frozen, rng)
+        inputs = [(formula, frozen), (other, other_frozen)]
+        cold = [_outcome(f, fr, bve_occurrence_limit=limit)
+                for f, fr in inputs]
+        for (f, fr), expected in zip(inputs, cold):
+            clear_memo()
+            _, reference = _emitted(f, fr, bve_occurrence_limit=limit)
+            with _cold_runs() as runs:
+                outcome, reused = _emitted(f, fr, bve_occurrence_limit=limit)
+            assert runs.call_count == 0 and outcome == expected
+            for _ in range(4):
+                model = {variable: rng.random() < 0.5
+                         for variable in range(1, f.num_variables + 1)}
+                assert reused.reconstruct(model) == reference.reconstruct(model)
+        # Both inputs in the memo at once: each still gets its own answer.
+        for f, fr in inputs:
+            _emitted(f, fr, bve_occurrence_limit=limit)
+        with _cold_runs() as runs:
+            for (f, fr), expected in zip(inputs * 2, cold * 2):
+                assert _emitted(f, fr, bve_occurrence_limit=limit)[0] == expected
+        assert runs.call_count == 0
+
+    def test_near_misses_never_hit(self):
+        formula, frozen, _ = _overlapping_formula(7)
+        preprocess(formula, frozen=frozen)
+        clauses = [list(clause) for clause in formula.clauses()]
+
+        def rebuilt(clause_list):
+            copy = CnfFormula()
+            copy.new_variables(formula.num_variables)
+            copy.add_clauses(clause_list)
+            return copy
+
+        flipped = [list(clause) for clause in clauses]
+        flipped[3][0] = -flipped[3][0]
+        more_frozen = set(frozen) | {
+            next(v for v in range(1, formula.num_variables + 1)
+                 if v not in frozen)}
+        near_misses = [
+            (rebuilt(flipped), frozen, {}),
+            (rebuilt(clauses[1:] + clauses[:1]), frozen, {}),
+            (formula, more_frozen, {}),
+            (formula, frozen, {"max_rounds": 9}),
+            (formula, frozen, {"bve_occurrence_limit": 19}),
+        ]
+        with _cold_runs() as runs:
+            for count, (near, near_frozen, options) in enumerate(near_misses):
+                preprocess(near, frozen=near_frozen, **options)
+                assert runs.call_count == count + 1
+                # An equal input in new objects still hits.
+                preprocess(formula.copy(), frozen=list(frozen))
+                assert runs.call_count == count + 1
+
+    def test_least_recently_used_entry_is_evicted(self):
+        formulas = [_overlapping_formula(seed)[0]
+                    for seed in range(MEMO_CAPACITY + 1)]
+        for formula in formulas[:MEMO_CAPACITY]:
+            preprocess(formula)
+        with _cold_runs() as runs:
+            preprocess(formulas[0])  # a hit, now the most recent
+            preprocess(formulas[MEMO_CAPACITY])  # evicts formulas[1]
+            assert runs.call_count == 1
+            for formula in [formulas[0]] + formulas[2:]:
+                preprocess(formula)
+            assert runs.call_count == 1
+            preprocess(formulas[1])
+            assert runs.call_count == 2
+
+    def test_entry_without_proof_lines_never_serves_a_proof(self):
+        formula, frozen, _ = _overlapping_formula(11)
+        expected = _outcome(formula, frozen)
+        clear_memo()
+        preprocess(formula, frozen=frozen)
+        with _cold_runs() as runs:
+            assert _emitted(formula, frozen)[0] == expected
+            assert _emitted(formula, frozen)[0] == expected
+            assert preprocess(formula, frozen=frozen).stats.rounds \
+                == expected[2]["rounds"]
+        assert runs.call_count == 1
+
+    def test_proof_lines_append_to_a_nonempty_log(self):
+        formula, frozen, _ = _overlapping_formula(13)
+        lines = _outcome(formula, frozen)[3]
+        log = ProofLog()
+        log.add((1, 2))
+        preprocess(formula, frozen=frozen, proof=log)
+        assert log.lines == [("a", (1, 2))] + lines
+
+    def test_hit_emits_the_same_span_and_counters(self):
+        formula, frozen, _ = _overlapping_formula(17)
+        telemetry = Telemetry()
+
+        def counts():
+            return {(name, labels): child.value
+                    for name, family in telemetry.metrics.families()
+                    if name.startswith("repro_preprocess_")
+                    for labels, child in family.children()}
+
+        preprocess(formula, frozen=frozen, telemetry=telemetry)
+        once = counts()
+        preprocess(formula, frozen=frozen, telemetry=telemetry)
+        assert once and counts() == {key: 2 * value
+                                     for key, value in once.items()}
+        cold, hit = [event["attrs"] for event in telemetry.tracer.events()
+                     if event["name"] == "preprocess"]
+        assert "reused" not in cold
+        assert hit == dict(cold, reused=True)
+
+    def test_threads_simplifying_one_cnf_get_equal_results(self):
+        import sys
+        import threading
+
+        formula, frozen, _ = _overlapping_formula(19)
+        expected = _outcome(formula, frozen)
+        clear_memo()
+        barrier = threading.Barrier(4)
+        outcomes = []
+
+        def simplify():
+            barrier.wait()
+            for _ in range(3):
+                outcomes.append(_emitted(formula, frozen)[0])
+
+        threads = [threading.Thread(target=simplify) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert outcomes == [expected] * 12
+        # Racing cold runs of one input leave a single entry behind.
+        assert len(_preprocess_module._memo) == 1

@@ -1,4 +1,4 @@
-"""Span tracer: nesting, contexts, ingest remapping, JSONL, rendering."""
+"""Span tracer: nesting, ingest remapping, JSONL, rendering."""
 
 import pytest
 
@@ -25,25 +25,6 @@ class TestSpans:
             attrs["status"] = "UNSAT"
         (event,) = tracer.events()
         assert event["attrs"] == {"bound": 36, "status": "UNSAT"}
-
-    def test_context_attrs_apply_to_every_span_inside(self):
-        tracer = Tracer()
-        with tracer.context(job="j1"):
-            with tracer.span("a"):
-                pass
-        with tracer.span("b"):
-            pass
-        by_name = {e["name"]: e for e in tracer.events()}
-        assert by_name["a"]["attrs"] == {"job": "j1"}
-        assert by_name["b"]["attrs"] == {}
-
-    def test_span_attrs_override_context(self):
-        tracer = Tracer()
-        with tracer.context(engine="cold"):
-            with tracer.span("rung", engine="portfolio"):
-                pass
-        (event,) = tracer.events()
-        assert event["attrs"]["engine"] == "portfolio"
 
     def test_event_cap_bounds_memory(self):
         tracer = Tracer(max_events=2)
